@@ -22,9 +22,14 @@ use super::{EvalOptions, SemanticsError};
 /// scripts.
 #[derive(Clone, Debug)]
 pub struct OutcomeSet {
-    /// Distinct final models (total or partial), in discovery order.
+    /// Distinct final models (total or partial). This module's
+    /// enumerator lists them in discovery order of its depth-first
+    /// walk; the session enumerator
+    /// (`tiebreak_runtime::Solver::all_outcomes`) lists them in product
+    /// order over branches.
     pub models: Vec<PartialModel>,
-    /// Number of interpreter runs performed.
+    /// Number of interpreter runs performed (for the session
+    /// enumerator: the scripts covered).
     pub runs: usize,
     /// `true` if the exploration stopped at the run budget.
     pub truncated: bool,
@@ -94,17 +99,16 @@ pub fn all_outcomes_with(
 /// `run_script` evaluates one script prefix and returns the final model
 /// plus the number of choices the run consumed.
 ///
-/// The session runtime's parallel enumerator
-/// (`tiebreak_runtime::Solver::all_outcomes`) walks the **same choice
-/// tree with the same branching rule** (every defaulted answer flipped
-/// exactly once) but breadth-first, in worker-pool waves. An exhaustive
-/// (untruncated) exploration therefore visits the identical script set
-/// and run count and yields the identical outcome *set*; model
-/// *discovery order* differs between the two drivers (DFS pops the
-/// deepest flip first, the wave walk the shallowest), and under a
-/// `max_runs` cut the explored subsets can differ too. Each driver is
-/// individually deterministic — this one by construction, the wave walk
-/// across all thread counts.
+/// The session runtime's enumerator
+/// (`tiebreak_runtime::Solver::all_outcomes`) applies the **same
+/// branching rule** (every defaulted answer flipped exactly once) to
+/// each branch's ties separately and takes the product of the
+/// per-branch results. A global script is the concatenation of
+/// per-branch scripts, so an exhaustive (untruncated) exploration has
+/// the identical run count and outcome *set*. Model order differs (this
+/// driver lists discovery order, the session driver product order), and
+/// under a `max_runs` cut the listed subsets can differ too. Each driver
+/// is deterministic.
 ///
 /// # Errors
 ///

@@ -38,13 +38,14 @@
 //!   confluence reaches exactly the sequential kernel's fixpoint. Waves
 //!   of one component short-circuit to the sequential kernel. See
 //!   `tests/wave_parallel.rs` for the cross-thread differential suite.
-//! * **Copy-on-write outcome enumeration, parallel across scripts.**
-//!   [`Solver::all_outcomes`] forks each tie script off the shared
+//! * **Copy-on-write outcome enumeration, a product over branches.**
+//!   [`Solver::all_outcomes`] forks each evaluation off the shared
 //!   post-close snapshot — a few `memcpy`s — instead of re-running
-//!   `close` from scratch per script, turning enumeration from
-//!   O(scripts × close) into O(close + scripts × residual), and farms
-//!   the independent forks onto the worker pool in deterministic waves
-//!   (identical outcome sets *and model order* across thread counts).
+//!   `close` per script. Ties in different branches cannot interact, so
+//!   each branch walks its own choice tree and the outcome set is the
+//!   product of the per-branch results: ten independent pockets take
+//!   two forks for 1,024 scripts. Models come in product order,
+//!   identical across thread counts.
 //! * **Incremental mutation.** [`Solver::insert_fact`],
 //!   [`Solver::retract_fact`], and [`Solver::apply`] mutate the database
 //!   *in place*: delta grounding appends the newly supportable rule

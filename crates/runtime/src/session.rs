@@ -795,13 +795,21 @@ impl Solver {
 
     /// Explores every tie script of the chosen interpreter flavour
     /// (`pure` selects Pure Tie-Breaking; otherwise Well-Founded
-    /// Tie-Breaking), forking each script copy-on-write off the shared
-    /// post-close snapshot and farming the forks onto the worker pool.
-    /// Identical outcome set to
-    /// `tiebreak_core::semantics::outcomes::all_outcomes`, but
-    /// O(close + scripts × residual) instead of O(scripts × close), and
-    /// parallel across scripts (deterministic dedup and model order for
-    /// every thread count).
+    /// Tie-Breaking) as a product over branches: each branch walks its
+    /// own choice tree on copy-on-write forks of the shared post-close
+    /// snapshot, and the models are the combinations of the per-branch
+    /// distinct results. Identical outcome set and run count to
+    /// `tiebreak_core::semantics::outcomes::all_outcomes`, with no
+    /// `close` re-run per script and one fork per round rather than per
+    /// script.
+    ///
+    /// `models` come in **product order**, not discovery order: branch 0
+    /// is the most significant digit, and each branch's distinct results
+    /// are ordered by first discovery in its breadth-first walk. The
+    /// result is identical at every thread count. When the product of
+    /// the per-branch script counts exceeds `max_runs`, the set is
+    /// `truncated`, lists the first `max_runs` combinations in product
+    /// order, and reports `runs = max_runs`.
     ///
     /// # Errors
     ///

@@ -33,7 +33,6 @@
 //! `server/batch` span that parents the per-frame request spans.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -44,6 +43,7 @@ use crate::reactor::Notifier;
 use crate::registry::{SessionEntry, SessionRegistry};
 use crate::script::ScriptSession;
 use crate::server::{handle_request, Next};
+use crate::wire::OutFrame;
 
 /// Per-connection protocol state, shared between the reactor (which
 /// owns the socket) and whichever worker executes the connection's
@@ -57,10 +57,11 @@ pub(crate) struct ConnState {
     pub lineno: usize,
 }
 
-/// A finished request on its way back to the reactor.
+/// A finished request on its way back to the reactor, which takes the
+/// response buffer over as is.
 pub(crate) struct Completion {
     pub conn: u64,
-    pub response: Vec<u8>,
+    pub response: OutFrame,
     pub next: Next,
 }
 
@@ -257,7 +258,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 session,
                 payload,
             } => {
-                let mut response = Vec::new();
+                let mut response = OutFrame::new();
                 let next = {
                     let mut state = session.lock().unwrap_or_else(PoisonError::into_inner);
                     let ConnState { entry, lineno } = &mut *state;
@@ -317,7 +318,7 @@ fn drain_session_queue(shared: &Arc<Shared>, key: usize) {
             // The barrier: one mutating frame, executed exactly like
             // the legacy transport would (same handler, same locking).
             let job = batch.into_iter().next().expect("batch of one");
-            let mut response = Vec::new();
+            let mut response = OutFrame::new();
             let next = {
                 let mut state = job.session.lock().unwrap_or_else(PoisonError::into_inner);
                 let ConnState { entry, lineno } = &mut *state;
@@ -353,17 +354,15 @@ fn execute_read_batch(shared: &Shared, entry: &Arc<SessionEntry>, jobs: Vec<Scri
             .ok()
             .and_then(|text| text.split_once('\n').map(|(_, b)| b))
             .unwrap_or("");
-        let mut out = Vec::new();
+        let mut response = OutFrame::new();
         let errors = {
             let mut state = job.session.lock().unwrap_or_else(PoisonError::into_inner);
             session
-                .process_read_frame(&mut state.lineno, body, &mut batch, &mut out)
-                // Writes to a Vec cannot fail; count defensively.
+                .process_read_frame(&mut state.lineno, body, &mut batch, &mut response)
+                // In-memory writes cannot fail; count defensively.
                 .unwrap_or(1)
         };
-        let mut response = Vec::new();
-        let _ = writeln!(response, "ok errors={errors}");
-        response.extend_from_slice(&out);
+        response.prepend(format!("ok errors={errors}\n").as_bytes());
         drop(span);
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         m.request_latency_us[vi].record(elapsed_us);

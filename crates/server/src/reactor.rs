@@ -35,7 +35,7 @@
 //! no-external-deps rule — with a portable sleep-and-assume-ready
 //! fallback for platforms without the shim.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use crate::dispatch::{ConnState, Dispatcher};
 use crate::server::{Next, Server};
-use crate::wire::FrameDecoder;
+use crate::wire::{FrameDecoder, OutFrame};
 
 /// The raw `poll(2)` shim.
 pub(crate) mod sys {
@@ -180,6 +180,33 @@ impl Notifier {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only: runs inside [`acknowledge_wakeup`] between its two
+    /// steps, where a racing `notify` is injected.
+    static BETWEEN_DRAIN_AND_CLEAR: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        std::cell::RefCell::new(None);
+}
+
+/// Acknowledges a wake-up before the caller drains the completion
+/// queue: first drain the waker bytes, then clear `pending`. A `notify`
+/// racing this either finds `pending` still set — its completion was
+/// queued before the clear, so the caller's drain sees it — or sets it
+/// afresh and writes a byte that wakes the next `poll`. Clearing first
+/// would let a byte written between the two steps be swallowed while
+/// `pending` stayed set, after which no `notify` writes a byte again
+/// and `poll` never wakes for a completion.
+fn acknowledge_wakeup(notifier: &Notifier, waker_rx: &TcpStream) {
+    let mut rx = waker_rx;
+    let mut scratch = [0u8; 64];
+    while matches!(rx.read(&mut scratch), Ok(n) if n > 0) {}
+    #[cfg(test)]
+    if let Some(hook) = BETWEEN_DRAIN_AND_CLEAR.with(|h| h.borrow_mut().take()) {
+        hook();
+    }
+    notifier.pending.store(false, Ordering::SeqCst);
+}
+
 /// A std-only `socketpair(2)`: bind a throwaway loopback listener,
 /// connect to it, accept, and verify the accepted peer is our own
 /// connect (so a stranger racing the ephemeral port cannot hijack the
@@ -216,13 +243,14 @@ struct Conn {
     /// Complete frames not yet dispatched (a pipelining client can
     /// deliver several in one segment; they are served in order, one
     /// in flight at a time).
-    pending: std::collections::VecDeque<Vec<u8>>,
+    pending: VecDeque<Vec<u8>>,
     /// A request is dispatched and its response not yet queued: reading
     /// is paused (backpressure) and the connection must not be reaped.
     inflight: bool,
-    /// Encoded response bytes not yet accepted by the socket.
-    wbuf: Vec<u8>,
-    wpos: usize,
+    /// Response frames not yet accepted by the socket, oldest first, as
+    /// `(buffer, offset of the first unwritten byte)`. Each buffer is
+    /// the one a worker wrote the reply into; it is freed once written.
+    wq: VecDeque<(Vec<u8>, usize)>,
     close_after_write: bool,
     /// Peer closed its sending half; finish writing, then drop.
     read_closed: bool,
@@ -238,31 +266,30 @@ impl Conn {
     }
 
     fn wants_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
+        !self.wq.is_empty()
     }
 
-    /// Appends one response frame to the write buffer.
-    fn queue_response(&mut self, payload: &[u8]) {
-        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-        self.wbuf.extend_from_slice(&len.to_be_bytes());
-        self.wbuf.extend_from_slice(payload);
+    /// Queues one response frame for writing, taking its buffer over.
+    fn queue_response(&mut self, frame: OutFrame) {
+        self.wq.push_back(frame.into_wire());
     }
 
-    /// Pushes buffered bytes into the socket. `Ok(false)` means the
+    /// Pushes queued frames into the socket. `false` means the
     /// connection died mid-write.
     fn flush_writes(&mut self) -> bool {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
+        while let Some((buf, pos)) = self.wq.front_mut() {
+            match self.stream.write(&buf[*pos..]) {
                 Ok(0) => return false,
-                Ok(n) => self.wpos += n,
+                Ok(n) => {
+                    *pos += n;
+                    if *pos == buf.len() {
+                        self.wq.pop_front();
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return false,
             }
-        }
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
         }
         true
     }
@@ -330,10 +357,7 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
 
         // Waker: drain the byte(s), then the completion queue.
         if pollfds[0].revents & (sys::POLLIN | sys::POLLBAD) != 0 {
-            notifier.pending.store(false, Ordering::SeqCst);
-            let mut waker_rx = &waker_rx;
-            let mut scratch = [0u8; 64];
-            while matches!(waker_rx.read(&mut scratch), Ok(n) if n > 0) {}
+            acknowledge_wakeup(&notifier, &waker_rx);
         }
         for completion in dispatcher.drain_completions() {
             let Some(conn) = conns.get_mut(&completion.conn) else {
@@ -341,7 +365,7 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
             };
             conn.inflight = false;
             conn.last_activity = now;
-            conn.queue_response(&completion.response);
+            conn.queue_response(completion.response);
             match completion.next {
                 Next::Continue => {}
                 Next::CloseConnection => conn.close_after_write = true,
@@ -379,10 +403,9 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
                                     id,
                                     stream,
                                     decoder: FrameDecoder::new(max_frame),
-                                    pending: std::collections::VecDeque::new(),
+                                    pending: VecDeque::new(),
                                     inflight: false,
-                                    wbuf: Vec::new(),
-                                    wpos: 0,
+                                    wq: VecDeque::new(),
                                     close_after_write: false,
                                     read_closed: false,
                                     last_activity: now,
@@ -473,15 +496,12 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
                 }
                 let _ = sys::poll(&mut pollfds, 50);
                 if pollfds[0].revents & (sys::POLLIN | sys::POLLBAD) != 0 {
-                    notifier.pending.store(false, Ordering::SeqCst);
-                    let mut rx = &waker_rx;
-                    let mut scratch = [0u8; 64];
-                    while matches!(rx.read(&mut scratch), Ok(n) if n > 0) {}
+                    acknowledge_wakeup(&notifier, &waker_rx);
                 }
                 for completion in dispatcher.drain_completions() {
                     if let Some(conn) = conns.get_mut(&completion.conn) {
                         conn.inflight = false;
-                        conn.queue_response(&completion.response);
+                        conn.queue_response(completion.response);
                     }
                 }
                 let finished: Vec<u64> = conns
@@ -522,7 +542,9 @@ fn read_ready(conn: &mut Conn, rbuf: &mut [u8], now: Instant) -> bool {
                     // Oversized header: the stream is desynchronized.
                     // Report in-band (like the legacy transport) and
                     // close once the error frame is written.
-                    conn.queue_response(format!("error {e}").as_bytes());
+                    let mut frame = OutFrame::new();
+                    let _ = write!(frame, "error {e}");
+                    conn.queue_response(frame);
                     conn.close_after_write = true;
                     conn.flush_writes();
                     // Frames decoded before the bad header still count.
@@ -597,5 +619,71 @@ fn poll_timeout(stopping: bool, max_idle_secs: u64, conns: &HashMap<u64, Conn>) 
         // +1 so the deadline has passed when poll returns.
         Some(ms) => i32::try_from(ms.min(60_000)).unwrap_or(60_000) + 1,
         None => -1,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn wait_readable(rx: &TcpStream) -> bool {
+        let mut fds = [sys::PollFd {
+            fd: rx.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        }];
+        // A deadline, not a pause: a live waker returns at once.
+        sys::poll(&mut fds, 10_000).expect("poll");
+        fds[0].revents & sys::POLLIN != 0
+    }
+
+    /// A completion posted between draining the waker bytes and clearing
+    /// `pending` must neither be lost nor silence later wake-ups.
+    #[test]
+    fn notify_between_drain_and_clear_still_wakes_the_reactor() {
+        let (notifier, rx) = waker_pair().expect("waker pair");
+        let notifier = Arc::new(notifier);
+        let completions = Arc::new(Mutex::new(Vec::new()));
+        // A worker that posts completion `id` when released through
+        // `start`, then reports through `done`.
+        let start = Arc::new(Barrier::new(2));
+        let done = Arc::new(Barrier::new(2));
+        let worker = {
+            let (notifier, completions) = (Arc::clone(&notifier), Arc::clone(&completions));
+            let (start, done) = (Arc::clone(&start), Arc::clone(&done));
+            std::thread::spawn(move || {
+                for id in 1..=3 {
+                    start.wait();
+                    completions.lock().unwrap().push(id);
+                    notifier.notify();
+                    done.wait();
+                }
+            })
+        };
+        let complete = |start: &Barrier, done: &Barrier| {
+            start.wait();
+            done.wait();
+        };
+
+        complete(&start, &done);
+        assert!(wait_readable(&rx), "first completion wakes the reactor");
+        {
+            let (start, done) = (Arc::clone(&start), Arc::clone(&done));
+            BETWEEN_DRAIN_AND_CLEAR.with(|h| {
+                *h.borrow_mut() = Some(Box::new(move || complete(&start, &done)));
+            });
+        }
+        acknowledge_wakeup(&notifier, &rx);
+        assert_eq!(std::mem::take(&mut *completions.lock().unwrap()), [1, 2]);
+
+        complete(&start, &done);
+        assert!(
+            wait_readable(&rx),
+            "a completion after the racing notify must wake the reactor"
+        );
+        acknowledge_wakeup(&notifier, &rx);
+        assert_eq!(std::mem::take(&mut *completions.lock().unwrap()), [3]);
+        worker.join().unwrap();
     }
 }

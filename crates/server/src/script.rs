@@ -31,7 +31,8 @@
 
 use std::io::{self, Write};
 
-use datalog_ast::GroundAtom;
+use datalog_ast::{FxHashMap, GroundAtom};
+use datalog_ground::{AtomId, TruthValue};
 use tiebreak_core::semantics::outcomes::OutcomeSet;
 use tiebreak_core::{Mutation, PrepareDelta};
 use tiebreak_runtime::{ReadBatch, Solver};
@@ -422,6 +423,10 @@ pub fn describe_delta(delta: &PrepareDelta) -> String {
 
 /// Writes an outcome set in the shared `outcomes` format.
 ///
+/// Each true atom's text is rendered once per call (decoding goes
+/// through the symbol interner) and copied into every outcome line that
+/// lists it; each line reaches `out` in one write.
+///
 /// # Errors
 ///
 /// Sink I/O errors.
@@ -437,19 +442,31 @@ pub fn write_outcomes(
         set.runs,
         if set.truncated { " (truncated)" } else { "" }
     )?;
+    let mut rendered: FxHashMap<AtomId, String> = FxHashMap::default();
+    let mut line = Vec::new();
     for (i, model) in set.models.iter().enumerate() {
-        let facts: Vec<String> = model
-            .true_atoms(atoms)
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        writeln!(
-            out,
-            "% outcome {} ({}): {{{}}}",
+        line.clear();
+        write!(
+            line,
+            "% outcome {} ({}): {{",
             i + 1,
-            if model.is_total() { "total" } else { "partial" },
-            facts.join(", ")
+            if model.is_total() { "total" } else { "partial" }
         )?;
+        let true_ids = model
+            .defined()
+            .filter(|&(_, v)| v == TruthValue::True)
+            .map(|(id, _)| id);
+        for (k, id) in true_ids.enumerate() {
+            if k > 0 {
+                line.extend_from_slice(b", ");
+            }
+            let text = rendered
+                .entry(id)
+                .or_insert_with(|| atoms.decode(id).to_string());
+            line.extend_from_slice(text.as_bytes());
+        }
+        line.extend_from_slice(b"}\n");
+        out.write_all(&line)?;
     }
     Ok(())
 }
@@ -545,5 +562,71 @@ mod tests {
         assert_eq!(errors, 1, "{out}");
         assert!(out.contains("! line 1: bad outcome limit"), "{out}");
         assert!(out.contains("% 2 distinct outcome(s)"), "{out}");
+    }
+
+    /// The rendering `write_outcomes` replaced: decode every true atom
+    /// of every outcome, then join. Kept as the golden oracle.
+    fn joined_rendering(set: &OutcomeSet, atoms: &datalog_ground::AtomTable) -> String {
+        let mut out = format!(
+            "% {} distinct outcome(s) over {} run(s){}\n",
+            set.models.len(),
+            set.runs,
+            if set.truncated { " (truncated)" } else { "" }
+        );
+        for (i, model) in set.models.iter().enumerate() {
+            let facts: Vec<String> = model
+                .true_atoms(atoms)
+                .iter()
+                .map(std::string::ToString::to_string)
+                .collect();
+            out.push_str(&format!(
+                "% outcome {} ({}): {{{}}}\n",
+                i + 1,
+                if model.is_total() { "total" } else { "partial" },
+                facts.join(", ")
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn write_outcomes_matches_the_joined_rendering() {
+        let pockets = "p :- not q.\nq :- not p.\nwin(X) :- move(X, Y), not win(Y).";
+        let db = "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f).";
+        let odd = format!("{pockets}\nr :- not r.");
+        let mut covered = [false; 5];
+        for program in [pockets, odd.as_str()] {
+            let solver = Solver::from_sources(program, db).unwrap();
+            let atoms = solver.graph().atoms();
+            let full = solver.all_outcomes(false, 64).unwrap();
+            let cut = solver.all_outcomes(false, 3).unwrap();
+            // An outcome with no true atom renders as `{}`.
+            let mut with_empty = full.clone();
+            with_empty
+                .models
+                .push(datalog_ground::PartialModel::undefined(atoms.len()));
+            for set in [&full, &cut, &with_empty] {
+                let mut out = Vec::new();
+                write_outcomes(&mut out, set, atoms).unwrap();
+                let text = String::from_utf8(out).unwrap();
+                assert_eq!(text, joined_rendering(set, atoms));
+                let zero_ary = ["{p}", "{p, ", ", p, ", ", p}"]
+                    .iter()
+                    .any(|p| text.contains(p));
+                for (seen, hit) in covered.iter_mut().zip([
+                    text.contains("(partial)"),
+                    text.contains("(total)"),
+                    text.contains("{}"),
+                    text.contains("(truncated)"),
+                    zero_ary,
+                ]) {
+                    *seen |= hit;
+                }
+            }
+        }
+        assert_eq!(
+            covered, [true; 5],
+            "partial, total, empty, truncated, 0-ary"
+        );
     }
 }

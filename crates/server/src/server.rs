@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::registry::{RegistryConfig, SessionEntry, SessionRegistry};
 use crate::script::LineOutcome;
-use crate::wire::{read_frame, write_frame, WireError, DEFAULT_MAX_FRAME_BYTES};
+use crate::wire::{read_frame, write_frame, OutFrame, WireError, DEFAULT_MAX_FRAME_BYTES};
 
 /// Default idle deadline: connections with no frame activity for this
 /// many seconds are reaped (reactor mode).
@@ -313,9 +313,9 @@ fn serve_connection(
             }
             Err(WireError::Io(_)) => return,
         };
-        let mut response = Vec::new();
+        let mut response = OutFrame::new();
         let next = handle_request(&payload, registry, &mut entry, &mut lineno, &mut response);
-        if write_frame(&mut writer, &response).is_err() {
+        if write_frame(&mut writer, response.payload()).is_err() {
             return;
         }
         match next {
@@ -344,7 +344,7 @@ pub(crate) fn handle_request(
     registry: &SessionRegistry,
     entry: &mut Option<Arc<SessionEntry>>,
     lineno: &mut usize,
-    response: &mut Vec<u8>,
+    response: &mut OutFrame,
 ) -> Next {
     let m = tiebreak_trace::metrics();
     m.requests.inc();
@@ -410,7 +410,7 @@ pub(crate) fn handle_request(
     // Connection threads are long-lived: flush the thread-local ring at
     // this request boundary so a `--trace-out` drain sees every event.
     tiebreak_trace::flush();
-    if response.starts_with(b"error") {
+    if response.payload().starts_with(b"error") {
         m.request_errors.inc();
     }
     let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -424,7 +424,7 @@ pub(crate) fn handle_request(
 /// language's `? stats` so the two views cannot disagree.
 ///
 /// [`Solver`]: tiebreak_runtime::Solver
-fn handle_stats(registry: &SessionRegistry, entry: Option<&SessionEntry>, response: &mut Vec<u8>) {
+fn handle_stats(registry: &SessionRegistry, entry: Option<&SessionEntry>, response: &mut OutFrame) {
     let s = registry.stats();
     let _ = write!(
         response,
@@ -457,7 +457,7 @@ fn handle_open(
     registry: &SessionRegistry,
     entry: &mut Option<Arc<SessionEntry>>,
     lineno: &mut usize,
-    response: &mut Vec<u8>,
+    response: &mut OutFrame,
 ) {
     let mut parts = verb_line.split_whitespace();
     let _verb = parts.next();
@@ -524,29 +524,27 @@ fn handle_script(
     body: &str,
     entry: Option<&SessionEntry>,
     lineno: &mut usize,
-    response: &mut Vec<u8>,
+    response: &mut OutFrame,
 ) {
     let Some(entry) = entry else {
         let _ = write!(response, "error no session open (send an open frame first)");
         return;
     };
-    let mut out = Vec::new();
     let mut errors: usize = 0;
     let mut session = entry.lock();
     for line in body.lines() {
         *lineno += 1;
-        match session.process_line(*lineno, line, &mut out) {
+        match session.process_line(*lineno, line, response) {
             Ok(LineOutcome::Ok) => {}
             Ok(LineOutcome::Error) => errors += 1,
-            // Writes to a Vec cannot fail; treat defensively anyway.
+            // In-memory writes cannot fail; treat defensively anyway.
             Err(_) => errors += 1,
         }
     }
-    if matches!(session.finish(&mut out), Ok(LineOutcome::Error) | Err(_)) {
+    if matches!(session.finish(response), Ok(LineOutcome::Error) | Err(_)) {
         errors += 1;
     }
     entry.sync_footprint(&session);
     drop(session);
-    let _ = writeln!(response, "ok errors={errors}");
-    response.extend_from_slice(&out);
+    response.prepend(format!("ok errors={errors}\n").as_bytes());
 }

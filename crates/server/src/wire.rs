@@ -194,6 +194,72 @@ impl FrameDecoder {
     }
 }
 
+/// Head room an [`OutFrame`] reserves in front of its payload: the
+/// length prefix plus the longest status line a handler prepends
+/// (`ok errors=<usize>\n`).
+const HEAD_ROOM: usize = 40;
+
+/// A response frame built in place. Handlers append the payload after
+/// reserved head room; a status line known only once the body is done
+/// ([`OutFrame::prepend`]) and the length prefix
+/// ([`OutFrame::into_wire`]) are written right-aligned into that room.
+/// The finished frame therefore goes from the worker to the socket in
+/// the buffer it was written into, without a copy.
+pub(crate) struct OutFrame {
+    buf: Vec<u8>,
+    /// Offset of the payload's first byte.
+    start: usize,
+}
+
+impl OutFrame {
+    pub(crate) fn new() -> Self {
+        OutFrame {
+            buf: vec![0; HEAD_ROOM],
+            start: HEAD_ROOM,
+        }
+    }
+
+    /// The payload written so far.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Puts `bytes` in front of the payload.
+    ///
+    /// # Panics
+    ///
+    /// If the head room left after the length prefix is too small.
+    pub(crate) fn prepend(&mut self, bytes: &[u8]) {
+        assert!(
+            bytes.len() + 4 <= self.start,
+            "status line exceeds head room"
+        );
+        self.start -= bytes.len();
+        self.buf[self.start..self.start + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Writes the length prefix and returns the buffer together with the
+    /// offset where the wire frame (prefix, then payload) begins.
+    pub(crate) fn into_wire(mut self) -> (Vec<u8>, usize) {
+        let len = u32::try_from(self.payload().len()).unwrap_or(u32::MAX);
+        // `prepend` always leaves these four bytes of head room.
+        self.start -= 4;
+        self.buf[self.start..self.start + 4].copy_from_slice(&len.to_be_bytes());
+        (self.buf, self.start)
+    }
+}
+
+impl Write for OutFrame {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.buf.extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,5 +401,18 @@ mod tests {
             }
         }
         assert!(frames.is_empty());
+    }
+
+    #[test]
+    fn out_frame_seals_into_the_blocking_writer_bytes() {
+        let mut frame = OutFrame::new();
+        writeln!(frame, "% body line").unwrap();
+        frame.prepend(format!("ok errors={}\n", usize::MAX).as_bytes());
+        let mut expected = Vec::new();
+        write_frame(&mut expected, frame.payload()).unwrap();
+        let (buf, start) = frame.into_wire();
+        assert_eq!(&buf[start..], expected.as_slice());
+        let (buf, start) = OutFrame::new().into_wire();
+        assert_eq!(&buf[start..], [0u8; 4]);
     }
 }
