@@ -4,23 +4,33 @@
 //! datalog analyze  <program.dl>
 //! datalog check    <program.dl> [database.dl] [--format text|json]
 //! datalog run      <program.dl> [database.dl] [--semantics wf|tb|pure-tb|stratified]
-//!                  [--policy root-true|root-false|random] [--seed N] [--threads N]
+//!                  [--policy root-true|root-false|random] [--seed N]
 //! datalog models   <program.dl> [database.dl] [--stable] [--limit N]
 //! datalog ground   <program.dl> [database.dl]
 //! datalog explain  <program.dl> [database.dl] --atom "win(a)" [--semantics wf|tb]
-//!                  [--threads N]
 //! datalog outcomes <program.dl> [database.dl] [--semantics tb|pure-tb] [--limit N]
-//!                  [--threads N]
 //! datalog totality <program.dl> [--nonuniform]          (propositional only)
 //! datalog session  <program.dl> [database.dl] [--script FILE] [--semantics tb|pure-tb]
 //!                  [--threads N]
 //! datalog serve    [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N]
 //!                  [--max-sessions N] [--max-resident-atoms N] [--strict]
-//!                  [--reactor | --legacy-threads] [--max-idle-secs N]
+//!                  [--max-idle-secs N]
 //! datalog client   <program.dl> [database.dl] --addr HOST:PORT [--script FILE]
 //!                  [--concurrency N] [--repeat K]
 //! datalog client   --addr HOST:PORT --stats | --metrics | --shutdown
 //! ```
+//!
+//! Each command runs one evaluation path, fixed by the command:
+//!
+//! - `run` and `explain` ground, close and evaluate once on the sequential
+//!   [`Engine`] over the SCC condensation of the residual graph. A result
+//!   depends only on program, database, `--policy` and `--seed`.
+//! - `outcomes` prepares one [`Solver`] and enumerates the tie outcomes as
+//!   a copy-on-write product over independent condensation branches.
+//! - `session` and `serve` hold long-lived solvers; they are the only
+//!   commands that take `--threads N` (N ≥ 1; omit the flag for automatic
+//!   selection via `TIEBREAK_THREADS`, which warns and falls back when
+//!   unusable). Every other command rejects the flag.
 //!
 //! `run`, `outcomes`, `session`, and `serve` accept `--trace-out FILE`
 //! (write a chrome://tracing Trace Event JSON file when the command
@@ -57,12 +67,11 @@
 //! `serve` exposes the same session machinery over TCP: a long-lived
 //! process managing many prepared sessions behind an LRU keyed by
 //! program + database source, so repeated opens of the same pair skip
-//! the ground → close → condense preparation entirely. The default
-//! transport is a poll-based reactor with cross-connection query
-//! batching (read-only script frames from many clients against one
-//! session share a single evaluation); `--legacy-threads` selects the
-//! pre-reactor thread-per-connection transport, and `--max-idle-secs N`
-//! sets the reactor's idle-connection reaping deadline (0 disables).
+//! the ground → close → condense preparation entirely. The transport is
+//! a poll-based reactor with cross-connection query batching (read-only
+//! script frames from many clients against one session share a single
+//! evaluation); `--max-idle-secs N` sets its idle-connection reaping
+//! deadline (0 disables).
 //! `client` drives a served session with the same script language (and
 //! `--shutdown` stops the server); `--concurrency N --repeat K` turns
 //! it into a load generator that opens N concurrent connections and
@@ -74,26 +83,6 @@
 //! grounding; `full` builds the paper-literal *G(Π, Δ)* — same
 //! post-`close` semantics, `relevant` is far smaller on large databases.
 //!
-//! Every command that evaluates accepts `--eval-mode global|stratified`:
-//! `stratified` (the production default) drives the interpreters over the
-//! SCC condensation of the residual graph; `global` is the paper-literal
-//! loop — same models and outcome sets.
-//!
-//! `run`, `outcomes`, and `explain` accept `--threads N` (N ≥ 1; `0`
-//! and non-numeric values are rejected with a diagnostic — omit the
-//! flag for automatic selection via `TIEBREAK_THREADS`, which itself
-//! warns and falls back when unusable): the query then goes through the
-//! `tiebreak-runtime` session solver, which grounds, closes, and
-//! condenses once and evaluates independent condensation branches on
-//! `N` worker threads. With the deterministic
-//! policies (`root-true`, `root-false`) output is bit-identical to the
-//! sequential path and across thread counts; `--policy random` stays
-//! reproducible per `--seed` and per thread count (choice streams are
-//! keyed by branch), but draws different choices than the sequential
-//! single-RNG run. For `outcomes` the session also forks each tie
-//! script copy-on-write off the shared post-close state instead of
-//! re-closing per script.
-//!
 //! Programs use `head(X) :- body(X), not other(X).` syntax; database files
 //! contain ground facts only.
 
@@ -101,8 +90,8 @@ use std::process::ExitCode;
 
 use tiebreak_core::engine::EvalOutcome;
 use tiebreak_core::semantics::{RandomPolicy, RootFalsePolicy, RootTruePolicy, TiePolicy};
-use tiebreak_core::{Engine, EngineConfig, EvalMode, GroundMode, RuntimeConfig};
-use tiebreak_runtime::{uniform, PolicyFactory, Solver};
+use tiebreak_core::{Engine, EngineConfig, GroundMode, RuntimeConfig};
+use tiebreak_runtime::Solver;
 use tiebreak_server::{Client, LineOutcome, RegistryConfig, ScriptSession, Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -117,7 +106,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--threads N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N] [--threads N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--reactor | --legacy-threads] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nEvaluating commands also accept --eval-mode global|stratified (default: stratified).\n--threads N (N >= 1) routes run/outcomes/explain through the parallel session\nruntime; omit the flag for automatic selection via TIEBREAK_THREADS or the\nmachine's parallelism.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
+    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\n--threads N (N >= 1) sets the worker count of the long-lived session/serve\nsolvers; omit it for automatic selection via TIEBREAK_THREADS or the machine's\nparallelism. Other commands reject it.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
         .to_owned()
 }
 
@@ -132,7 +121,6 @@ struct Options {
     atom: Option<String>,
     nonuniform: bool,
     ground_mode: GroundMode,
-    eval_mode: EvalMode,
     threads: Option<usize>,
     script: Option<String>,
     addr: Option<String>,
@@ -145,8 +133,6 @@ struct Options {
     trace_summary: bool,
     stats: bool,
     metrics: bool,
-    reactor: bool,
-    legacy_threads: bool,
     max_idle_secs: u64,
     concurrency: usize,
     repeat: usize,
@@ -163,7 +149,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         atom: None,
         nonuniform: false,
         ground_mode: GroundMode::Relevant,
-        eval_mode: EvalMode::Stratified,
         threads: None,
         script: None,
         addr: None,
@@ -176,8 +161,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         trace_summary: false,
         stats: false,
         metrics: false,
-        reactor: false,
-        legacy_threads: false,
         max_idle_secs: tiebreak_server::DEFAULT_MAX_IDLE_SECS,
         concurrency: 1,
         repeat: 1,
@@ -215,13 +198,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     "full" => GroundMode::Full,
                     "relevant" => GroundMode::Relevant,
                     other => return Err(format!("unknown ground mode {other} (full|relevant)")),
-                };
-            }
-            "--eval-mode" => {
-                opts.eval_mode = match it.next().ok_or("--eval-mode needs a value")?.as_str() {
-                    "global" => EvalMode::Global,
-                    "stratified" => EvalMode::Stratified,
-                    other => return Err(format!("unknown eval mode {other} (global|stratified)")),
                 };
             }
             "--threads" => {
@@ -263,8 +239,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--shutdown" => opts.shutdown = true,
             "--strict" => opts.strict = true,
-            "--reactor" => opts.reactor = true,
-            "--legacy-threads" => opts.legacy_threads = true,
             "--max-idle-secs" => {
                 opts.max_idle_secs = it
                     .next()
@@ -322,7 +296,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 fn engine_config(opts: &Options) -> EngineConfig {
     EngineConfig::default()
         .with_ground_mode(opts.ground_mode)
-        .with_eval_mode(opts.eval_mode)
         .with_runtime(RuntimeConfig::with_threads(opts.threads.unwrap_or(0)))
 }
 
@@ -347,7 +320,7 @@ fn load_engine(opts: &Options) -> Result<Engine, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Builds the session solver for the `--threads` paths (parsing the
+/// Builds the session solver for `outcomes` and `session` (parsing the
 /// sources directly — no intermediate `Engine` to clone out of).
 fn load_solver(opts: &Options) -> Result<Solver, String> {
     let (program_src, db_src) = load_sources(opts)?;
@@ -356,44 +329,18 @@ fn load_solver(opts: &Options) -> Result<Solver, String> {
     Solver::with_config(program, database, engine_config(opts)).map_err(|e| e.to_string())
 }
 
-/// `--policy random` for the session path: one independently seeded
-/// stream per branch. Deterministic for a given `--seed` and across
-/// thread counts (the stream is keyed by the schedule-independent
-/// branch id) — but *not* the same choice sequence as the sequential
-/// path, which threads a single RNG through the whole run.
-struct BranchSeededRandom(u64);
-
-impl PolicyFactory for BranchSeededRandom {
-    type Policy = RandomPolicy;
-
-    fn policy_for(&self, branch: u32) -> RandomPolicy {
-        // Mix the branch id in with the golden-ratio multiplier so
-        // adjacent branches get unrelated streams.
-        RandomPolicy::seeded(self.0 ^ u64::from(branch).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+/// Runs a tie-breaking flavour on the sequential engine.
+fn tie_breaking<P: TiePolicy>(
+    engine: &Engine,
+    pure: bool,
+    mut policy: P,
+) -> Result<EvalOutcome, String> {
+    if pure {
+        engine.pure_tie_breaking(&mut policy)
+    } else {
+        engine.well_founded_tie_breaking(&mut policy)
     }
-}
-
-/// Runs a tie-breaking flavour on the session solver with the chosen
-/// policy lifted per branch.
-fn solver_tie_breaking(solver: &Solver, pure: bool, opts: &Options) -> Result<EvalOutcome, String> {
-    fn go<F: PolicyFactory>(
-        solver: &Solver,
-        pure: bool,
-        factory: &F,
-    ) -> Result<EvalOutcome, String> {
-        if pure {
-            solver.pure_tie_breaking(factory)
-        } else {
-            solver.well_founded_tie_breaking(factory)
-        }
-        .map_err(|e| e.to_string())
-    }
-    match opts.policy.as_str() {
-        "root-true" => go(solver, pure, &uniform(RootTruePolicy)),
-        "root-false" => go(solver, pure, &uniform(RootFalsePolicy)),
-        "random" => go(solver, pure, &BranchSeededRandom(opts.seed)),
-        other => Err(format!("unknown policy {other}")),
-    }
+    .map_err(|e| e.to_string())
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -432,6 +379,13 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
+    // Only the long-lived solvers have workers to size; every other
+    // command runs one single-threaded path.
+    if let (Some(_), false) = (opts.threads, matches!(command, "session" | "serve")) {
+        return Err(format!(
+            "--threads applies only to session and serve; {command} runs single-threaded"
+        ));
+    }
     match command {
         "analyze" => {
             let engine = load_engine(opts)?;
@@ -463,49 +417,19 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             Ok(())
         }
         "run" => {
+            let engine = load_engine(opts)?;
             let outcome = match opts.semantics.as_str() {
-                "wf" => {
-                    if opts.threads.is_some() {
-                        load_solver(opts)?
-                            .well_founded()
-                            .map_err(|e| e.to_string())?
-                    } else {
-                        load_engine(opts)?
-                            .well_founded()
-                            .map_err(|e| e.to_string())?
-                    }
-                }
+                "wf" => engine.well_founded().map_err(|e| e.to_string())?,
                 "tb" | "pure-tb" => {
                     let pure = opts.semantics == "pure-tb";
-                    if opts.threads.is_some() {
-                        let solver = load_solver(opts)?;
-                        solver_tie_breaking(&solver, pure, opts)?
-                    } else {
-                        let engine = load_engine(opts)?;
-                        let mut policy: Box<dyn TiePolicy> = match opts.policy.as_str() {
-                            "root-true" => Box::new(RootTruePolicy),
-                            "root-false" => Box::new(RootFalsePolicy),
-                            "random" => Box::new(RandomPolicy::seeded(opts.seed)),
-                            other => return Err(format!("unknown policy {other}")),
-                        };
-                        let mut adapter = PolicyBox(&mut *policy);
-                        let result = if pure {
-                            engine.pure_tie_breaking(&mut adapter)
-                        } else {
-                            engine.well_founded_tie_breaking(&mut adapter)
-                        };
-                        result.map_err(|e| e.to_string())?
+                    match opts.policy.as_str() {
+                        "root-true" => tie_breaking(&engine, pure, RootTruePolicy)?,
+                        "root-false" => tie_breaking(&engine, pure, RootFalsePolicy)?,
+                        "random" => tie_breaking(&engine, pure, RandomPolicy::seeded(opts.seed))?,
+                        other => return Err(format!("unknown policy {other}")),
                     }
                 }
                 "stratified" => {
-                    if opts.threads.is_some() {
-                        return Err(
-                            "--threads applies to wf|tb|pure-tb (--semantics stratified is the \
-                             sequential semi-naive engine)"
-                                .to_owned(),
-                        );
-                    }
-                    let engine = load_engine(opts)?;
                     let run = engine.stratified().map_err(|e| e.to_string())?;
                     for fact in run.true_atoms() {
                         println!("{fact}.");
@@ -589,80 +513,39 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                 .and_then(|r| r.head.to_ground())
                 .ok_or("--atom must be a single ground atom")?;
 
-            if opts.threads.is_some() {
-                // Session path: the solver's prepared graph carries the
-                // atom space the parallel run's model is indexed by.
-                let solver = load_solver(opts)?;
-                let run = match opts.semantics.as_str() {
-                    "wf" => solver.well_founded_run().map_err(|e| e.to_string())?,
-                    "tb" => solver
-                        .well_founded_tie_breaking_run(&uniform(RootTruePolicy))
-                        .map_err(|e| e.to_string())?,
-                    other => return Err(format!("explain supports wf|tb, not {other}")),
-                };
-                print_explanation(
-                    solver.graph(),
-                    solver.program(),
-                    solver.database(),
-                    &run.model,
-                    &ground_atom,
-                )
-            } else {
-                let engine = load_engine(opts)?;
-                let graph = engine.ground().map_err(|e| e.to_string())?;
-                let program = engine.program();
-                let database = engine.database();
-                let eval = tiebreak_core::EvalOptions::with_mode(opts.eval_mode);
-                let model = match opts.semantics.as_str() {
-                    "wf" => {
-                        tiebreak_core::semantics::well_founded_with(
-                            &graph, program, database, &eval,
-                        )
+            let engine = load_engine(opts)?;
+            let graph = engine.ground().map_err(|e| e.to_string())?;
+            let program = engine.program();
+            let database = engine.database();
+            let eval = engine_config(opts).eval;
+            let model = match opts.semantics.as_str() {
+                "wf" => {
+                    tiebreak_core::semantics::well_founded_with(&graph, program, database, &eval)
                         .map_err(|e| e.to_string())?
                         .model
-                    }
-                    "tb" => {
-                        let mut policy = RootTruePolicy;
-                        tiebreak_core::semantics::well_founded_tie_breaking_with(
-                            &graph,
-                            program,
-                            database,
-                            &mut policy,
-                            &eval,
-                        )
-                        .map_err(|e| e.to_string())?
-                        .model
-                    }
-                    other => return Err(format!("explain supports wf|tb, not {other}")),
-                };
-                print_explanation(&graph, program, database, &model, &ground_atom)
-            }
+                }
+                "tb" => {
+                    tiebreak_core::semantics::well_founded_tie_breaking_with(
+                        &graph,
+                        program,
+                        database,
+                        &mut RootTruePolicy,
+                        &eval,
+                    )
+                    .map_err(|e| e.to_string())?
+                    .model
+                }
+                other => return Err(format!("explain supports wf|tb, not {other}")),
+            };
+            print_explanation(&graph, program, database, &model, &ground_atom)
         }
         "outcomes" => {
             let max_runs = if opts.limit == 0 { 256 } else { opts.limit };
-            let pure = opts.semantics == "pure-tb";
-            if opts.threads.is_some() {
-                // Session path: one ground + close, copy-on-write forks
-                // per tie script.
-                let solver = load_solver(opts)?;
-                let set = solver
-                    .all_outcomes(pure, max_runs)
-                    .map_err(|e| e.to_string())?;
-                print_outcomes(&set, solver.graph().atoms());
-            } else {
-                let engine = load_engine(opts)?;
-                let graph = engine.ground().map_err(|e| e.to_string())?;
-                let set = tiebreak_core::semantics::outcomes::all_outcomes_with(
-                    &graph,
-                    engine.program(),
-                    engine.database(),
-                    pure,
-                    max_runs,
-                    &tiebreak_core::EvalOptions::with_mode(opts.eval_mode),
-                )
+            let solver = load_solver(opts)?;
+            let set = solver
+                .all_outcomes(opts.semantics == "pure-tb", max_runs)
                 .map_err(|e| e.to_string())?;
-                print_outcomes(&set, graph.atoms());
-            }
+            print_outcomes(&set, solver.graph().atoms());
             Ok(())
         }
         "totality" => {
@@ -795,23 +678,12 @@ fn run_serve(opts: &Options) -> Result<(), String> {
     if opts.max_resident_atoms > 0 {
         registry.max_resident_atoms = opts.max_resident_atoms;
     }
-    if opts.reactor && opts.legacy_threads {
-        return Err("--reactor and --legacy-threads are mutually exclusive".to_owned());
-    }
-    let mode = if opts.legacy_threads {
-        tiebreak_server::ServerMode::LegacyThreads
-    } else {
-        // The reactor is the default; --reactor spells it out.
-        tiebreak_server::ServerMode::Reactor
-    };
     let server = Server::bind(
         addr,
         ServerConfig {
             registry,
-            max_frame_bytes: 0,
-            mode,
             max_idle_secs: opts.max_idle_secs,
-            workers: 0,
+            ..ServerConfig::default()
         },
     )
     .map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -1007,15 +879,6 @@ fn print_explanation(
     Ok(())
 }
 
-/// Adapter: lets a boxed policy satisfy the generic bound.
-struct PolicyBox<'a>(&'a mut dyn TiePolicy);
-
-impl TiePolicy for PolicyBox<'_> {
-    fn choose_root_side_true(&mut self, view: &tiebreak_core::TieView<'_>) -> bool {
-        self.0.choose_root_side_true(view)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1102,27 +965,16 @@ mod tests {
     }
 
     #[test]
-    fn reactor_and_idle_flags_parse() {
-        let args: Vec<String> = ["--reactor", "--max-idle-secs", "45"]
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
+    fn idle_flag_parses() {
+        let args = vec!["--max-idle-secs".to_owned(), "45".to_owned()];
         let opts = parse_options(&args).unwrap();
-        assert!(opts.reactor);
-        assert!(!opts.legacy_threads);
         assert_eq!(opts.max_idle_secs, 45);
     }
 
     #[test]
-    fn legacy_threads_flag_parses() {
-        let args = vec!["--legacy-threads".to_owned()];
-        let opts = parse_options(&args).unwrap();
-        assert!(opts.legacy_threads);
-        assert_eq!(
-            opts.max_idle_secs,
-            tiebreak_server::DEFAULT_MAX_IDLE_SECS,
-            "idle deadline defaults to the server's constant"
-        );
+    fn idle_deadline_defaults_to_server_constant() {
+        let opts = parse_options(&[]).unwrap();
+        assert_eq!(opts.max_idle_secs, tiebreak_server::DEFAULT_MAX_IDLE_SECS);
     }
 
     #[test]
@@ -1154,12 +1006,15 @@ mod tests {
 
     #[test]
     fn conflicting_transport_flags_rejected() {
+        // `serve` has one transport per platform; neither switch exists.
         let args: Vec<String> = ["serve", "--reactor", "--legacy-threads"]
             .iter()
             .map(std::string::ToString::to_string)
             .collect();
         let err = run(&args).unwrap_err();
-        assert!(err.contains("mutually exclusive"));
+        assert!(err.contains("unknown flag --reactor"), "{err}");
+        let err = parse_options(&["--legacy-threads".to_owned()]).unwrap_err();
+        assert!(err.contains("unknown flag --legacy-threads"), "{err}");
     }
 
     #[test]

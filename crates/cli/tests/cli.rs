@@ -78,19 +78,21 @@ fn threads_flag_routes_through_the_session_runtime() {
         "rt_db.dl",
         "move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).\nmove(e, f).\nmove(f, g).",
     );
+    let script = write_temp("rt_script.txt", "? wf\n? outcomes 10\n");
+    let (prog, db) = (prog.to_str().unwrap(), db.to_str().unwrap());
 
-    // `run --threads` must print exactly what the sequential path prints.
+    // The session's worker count never changes what it prints.
     let mut outputs = Vec::new();
-    for extra in [&[][..], &["--threads", "1"][..], &["--threads", "4"][..]] {
-        let mut args = vec![
-            "run",
-            prog.to_str().unwrap(),
-            db.to_str().unwrap(),
-            "--semantics",
-            "tb",
-        ];
-        args.extend_from_slice(extra);
-        let out = datalog(&args);
+    for threads in ["1", "4"] {
+        let out = datalog(&[
+            "session",
+            prog,
+            db,
+            "--script",
+            script.to_str().unwrap(),
+            "--threads",
+            threads,
+        ]);
         assert!(
             out.status.success(),
             "{}",
@@ -98,41 +100,27 @@ fn threads_flag_routes_through_the_session_runtime() {
         );
         outputs.push(String::from_utf8_lossy(&out.stdout).into_owned());
     }
-    assert_eq!(outputs[0], outputs[1], "sequential vs session");
-    assert_eq!(outputs[1], outputs[2], "1 vs 4 workers");
-
-    // `outcomes --threads` enumerates the same outcome count (2 pockets
-    // ⇒ 4 total outcomes) through the copy-on-write path.
-    let out = datalog(&[
-        "outcomes",
-        prog.to_str().unwrap(),
-        db.to_str().unwrap(),
-        "--threads",
-        "2",
-    ]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("% 4 distinct outcome(s)"), "{text}");
-
-    // `explain --threads` justifies against the session's model.
-    let out = datalog(&[
-        "explain",
-        prog.to_str().unwrap(),
-        db.to_str().unwrap(),
-        "--atom",
-        "win(f)",
-        "--semantics",
-        "wf",
-        "--threads",
-        "2",
-    ]);
     assert!(
-        out.status.success(),
+        outputs[0].contains("4 distinct outcome(s)"),
         "{}",
-        String::from_utf8_lossy(&out.stderr)
+        outputs[0]
     );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("win(f)"), "{text}");
+    assert_eq!(outputs[0], outputs[1], "1 vs 4 workers");
+
+    // Only the long-lived solvers take a worker count.
+    for command in [
+        &["run", prog, db][..],
+        &["explain", prog, db, "--atom", "win(a)"][..],
+        &["outcomes", prog, db][..],
+    ] {
+        let out = datalog(&[command, &["--threads", "2"][..]].concat());
+        assert!(!out.status.success(), "{command:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--threads applies only to session and serve"),
+            "{command:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -150,42 +138,82 @@ fn stratified_semantics_rejects_threads() {
     ]);
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("--threads applies to"), "{text}");
+    assert!(
+        text.contains("--threads applies only to session and serve"),
+        "{text}"
+    );
 }
 
 #[test]
-fn random_policy_with_threads_is_seed_reproducible() {
+fn one_shot_commands_reject_removed_routing_flags() {
+    let prog = write_temp("rm.dl", "win(X) :- move(X, Y), not win(Y).");
+    let db = write_temp(
+        "rm_db.dl",
+        "move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).",
+    );
+    let (prog, db) = (prog.to_str().unwrap(), db.to_str().unwrap());
+
+    // The evaluation-mode and transport switches are gone.
+    for (command, flag) in [
+        (
+            &["run", prog, db, "--eval-mode", "global"][..],
+            "--eval-mode",
+        ),
+        (&["serve", "--reactor"][..], "--reactor"),
+        (&["serve", "--legacy-threads"][..], "--legacy-threads"),
+    ] {
+        let out = datalog(command);
+        assert!(!out.status.success(), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+
+    // Two pockets ⇒ four outcomes; the cut lists three and says so.
+    let out = datalog(&["outcomes", prog, db, "--limit", "3"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.matches("% outcome ").count(), 3, "{text}");
+    assert!(text.contains("(truncated)"), "{text}");
+}
+
+#[test]
+fn run_output_ignores_tiebreak_threads() {
     let prog = write_temp("rand_t.dl", "win(X) :- move(X, Y), not win(Y).");
     let db = write_temp(
         "rand_t_db.dl",
-        "move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).",
+        "move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).\nmove(e, f).\nmove(f, g).",
     );
-    let run = |threads: &str| {
-        let out = datalog(&[
-            "run",
-            prog.to_str().unwrap(),
-            db.to_str().unwrap(),
-            "--policy",
-            "random",
-            "--seed",
-            "7",
-            "--threads",
-            threads,
-        ]);
-        assert!(out.status.success());
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    // Branch-keyed streams: same seed ⇒ same choices, whatever the
-    // worker count.
-    assert_eq!(run("1"), run("1"));
-    assert_eq!(run("1"), run("8"));
+    // A result depends on program, database, policy and seed only.
+    for policy in [
+        &["--policy", "root-true"][..],
+        &["--policy", "random", "--seed", "7"][..],
+    ] {
+        let run = |threads: &str| {
+            let out = Command::new(env!("CARGO_BIN_EXE_datalog"))
+                .args(["run", prog.to_str().unwrap(), db.to_str().unwrap()])
+                .args(["--semantics", "tb"])
+                .args(policy)
+                .env("TIEBREAK_THREADS", threads)
+                .output()
+                .expect("binary runs");
+            assert!(out.status.success(), "{policy:?}");
+            (out.stdout, out.stderr)
+        };
+        let (one, eight) = (run("1"), run("8"));
+        assert!(!one.0.is_empty(), "{policy:?}");
+        assert_eq!(one, eight, "{policy:?}: TIEBREAK_THREADS=1 vs 8");
+    }
 }
 
 #[test]
 fn bad_threads_value_is_rejected() {
     let prog = write_temp("rt_bad.dl", "p :- not q.\nq :- not p.");
     // Non-numeric: a clear diagnostic pointing at the auto default.
-    let out = datalog(&["run", prog.to_str().unwrap(), "--threads", "many"]);
+    let out = datalog(&["session", prog.to_str().unwrap(), "--threads", "many"]);
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("bad thread count"), "{text}");
@@ -193,7 +221,7 @@ fn bad_threads_value_is_rejected() {
     assert!(text.contains("TIEBREAK_THREADS"), "{text}");
 
     // Zero workers cannot run anything: rejected, not silently "auto".
-    let out = datalog(&["run", prog.to_str().unwrap(), "--threads", "0"]);
+    let out = datalog(&["session", prog.to_str().unwrap(), "--threads", "0"]);
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("bad thread count 0"), "{text}");
@@ -210,9 +238,11 @@ fn unusable_tiebreak_threads_env_warns_and_falls_back() {
         // consulted, so no warning and a clean run.
         let out = Command::new(env!("CARGO_BIN_EXE_datalog"))
             .args([
-                "run",
+                "session",
                 prog.to_str().unwrap(),
                 db.to_str().unwrap(),
+                "--script",
+                script.to_str().unwrap(),
                 "--threads",
                 "1",
             ])
@@ -621,65 +651,6 @@ fn ground_mode_flag_switches_grounders() {
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("unknown ground mode"), "{text}");
-}
-
-#[test]
-fn eval_mode_flag_switches_interpreters() {
-    let prog = write_temp("em.dl", "win(X) :- move(X, Y), not win(Y).");
-    let db = write_temp(
-        "em_db.dl",
-        "move(a, b).\nmove(b, c).\nmove(d, e).\nmove(e, d).",
-    );
-
-    // Both modes resolve the DAG part identically and decide the d ↔ e
-    // draw pocket by breaking a tie.
-    let mut outputs = Vec::new();
-    for mode in ["global", "stratified"] {
-        let out = datalog(&[
-            "run",
-            prog.to_str().unwrap(),
-            db.to_str().unwrap(),
-            "--semantics",
-            "tb",
-            "--eval-mode",
-            mode,
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(text.contains("win(b)."), "{mode}: {text}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("ties broken: 1"), "{mode}: {stderr}");
-        outputs.push(text);
-    }
-
-    // The outcomes command honors the flag too: same outcome set.
-    for mode in ["global", "stratified"] {
-        let out = datalog(&[
-            "outcomes",
-            prog.to_str().unwrap(),
-            db.to_str().unwrap(),
-            "--eval-mode",
-            mode,
-        ]);
-        assert!(out.status.success());
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("% 2 distinct outcome(s)"), "{mode}: {text}");
-    }
-
-    let out = datalog(&[
-        "run",
-        prog.to_str().unwrap(),
-        db.to_str().unwrap(),
-        "--eval-mode",
-        "bogus",
-    ]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("unknown eval mode"), "{text}");
 }
 
 #[test]

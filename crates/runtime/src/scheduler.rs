@@ -39,9 +39,8 @@
 //!    component order reproduces the sequential accumulation bit for
 //!    bit.
 //!
-//! Waves narrower than [`RuntimeConfig::resolved_wave_min_width`]
-//! (`tiebreak_core::RuntimeConfig`) short-circuit to the sequential
-//! kernel on the coordinator with no barrier traffic, so small sessions
+//! Waves narrower than [`WAVE_MIN_WIDTH`] components short-circuit to
+//! the sequential kernel on the coordinator with no barrier traffic, so small sessions
 //! and chain-shaped branches pay nothing for the machinery.
 //!
 //! **Wave dispatch is policy-free.** The [`PolicyFactory`] contract hands
@@ -83,6 +82,11 @@ use tiebreak_core::{InterpreterRun, RunStats, TiePolicy};
 
 use crate::policy::PolicyFactory;
 use crate::session::Solver;
+
+/// Minimum number of equal-depth components for an intra-branch wave to
+/// be dispatched across the worker pool. A one-component wave has
+/// nothing to dispatch and pays no synchronization at all.
+pub(crate) const WAVE_MIN_WIDTH: usize = 2;
 
 /// A memoized branch result of the plain well-founded evaluation.
 #[derive(Clone, Debug)]
@@ -275,7 +279,6 @@ pub(crate) fn run_session<F: PolicyFactory>(
     let mut model = solver.base_model.clone();
 
     if branches > 0 {
-        let min_width = solver.config.runtime.resolved_wave_min_width();
         // Wave-eligible branches: policy-free runs with more than one
         // worker available, skipping cached branches (they replay at
         // merge time) and branches whose widest wave could not feed a
@@ -283,7 +286,8 @@ pub(crate) fn run_session<F: PolicyFactory>(
         let wave_plans: Vec<WavePlan> = if factory.is_none() && threads > 1 {
             (0..branches as u32)
                 .filter(|&b| {
-                    cached[b as usize].is_none() && solver.engine.group_wave_width(b) >= min_width
+                    cached[b as usize].is_none()
+                        && solver.engine.group_wave_width(b) >= WAVE_MIN_WIDTH
                 })
                 .map(|b| wave_plan(&solver.engine, b))
                 .collect()
@@ -392,7 +396,7 @@ pub(crate) fn run_session<F: PolicyFactory>(
             for plan in wave_plans_ref {
                 let mut merged: Vec<(usize, RunStats)> = Vec::new();
                 for (wave_idx, wave_comps) in plan.waves.iter().enumerate() {
-                    if wave_comps.len() < min_width {
+                    if wave_comps.len() < WAVE_MIN_WIDTH {
                         // Narrow wave: sequential kernel inline on the
                         // coordinator, no barrier traffic.
                         if worker_id == 0 && !wave_ref.has_failed() {

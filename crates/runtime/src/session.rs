@@ -285,13 +285,13 @@ impl Solver {
 
     /// Whether a plain well-founded evaluation of this prepared state
     /// would dispatch intra-branch waves: more than one effective worker
-    /// and at least one branch whose widest wave meets the configured
-    /// minimum width ([`tiebreak_core::RuntimeConfig`]). Front-ends
+    /// and at least one branch whose widest wave is at least two
+    /// components wide (the scheduler's `WAVE_MIN_WIDTH`). Front-ends
     /// report this next to the thread count so `? stats` and the server
     /// `stats` verb agree on the pool configuration.
     pub fn wave_dispatch_eligible(&self) -> bool {
         self.effective_threads() > 1
-            && self.engine.widest_wave() >= self.config.runtime.resolved_wave_min_width()
+            && self.engine.widest_wave() >= crate::scheduler::WAVE_MIN_WIDTH
     }
 
     /// Inserts one fact (see [`Solver::apply`]).

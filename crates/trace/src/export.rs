@@ -473,17 +473,8 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_enabled;
+    use crate::span::tests::exclusive;
     use crate::span::{child_span, drain, span};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        set_enabled(true);
-        let _ = drain();
-        guard
-    }
 
     fn sample_trace() -> Trace {
         let root = span("test", "root", &[("size", 3)]);

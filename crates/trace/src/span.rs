@@ -6,9 +6,10 @@
 //! stamp, span id, thread ordinal). The sole lock is the global sink
 //! mutex, taken at **phase barriers** — an explicit [`flush`] at the end
 //! of a scheduler worker or a server request, or the implicit flush when
-//! a thread's TLS is torn down (which covers `std::thread::scope`
-//! workers). [`drain`] flushes the calling thread and takes the sink,
-//! returning events sorted by sequence stamp.
+//! a thread's TLS is torn down (complete once the thread's handle is
+//! joined; a scope's implicit join may return earlier, so scoped
+//! workers flush explicitly). [`drain`] flushes the calling thread and
+//! takes the sink, returning events sorted by sequence stamp.
 //!
 //! Parent linkage: each thread keeps a stack of open span ids; a new
 //! span parents to the top of the stack. Work handed to another thread
@@ -350,14 +351,15 @@ pub fn drain() -> Vec<TraceEvent> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::set_enabled;
     use std::sync::MutexGuard;
 
-    /// Recording is process-global, so tests serialize on this lock and
-    /// start from a drained sink.
-    fn exclusive() -> MutexGuard<'static, ()> {
+    /// Recording is process-global, so every test in the crate that
+    /// records or drains serializes on this one lock and starts from a
+    /// drained sink.
+    pub(crate) fn exclusive() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         let guard = LOCK
             .lock()
@@ -408,10 +410,16 @@ mod tests {
         let _x = exclusive();
         let root = span("t", "root", &[]);
         let root_id = root.id();
+        // Join the handle itself: the scope's implicit join returns once
+        // the closure finishes, possibly before the worker's TLS (and
+        // with it the implicit flush) is torn down.
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let _w = child_span("t", "worker", root_id, &[]);
-            });
+            scope
+                .spawn(move || {
+                    let _w = child_span("t", "worker", root_id, &[]);
+                })
+                .join()
+                .expect("worker");
         });
         drop(root);
         let events = drain();
