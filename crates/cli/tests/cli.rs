@@ -329,6 +329,27 @@ fn session_scripts_mutate_and_query() {
     assert!(text.contains("win(b): false"), "{text}");
     assert!(text.contains("% epoch 2 |"), "{text}");
     assert!(text.contains("% 1 distinct outcome(s)"), "{text}");
+
+    // Two draw pockets joined by a hub are one branch, and a branch runs
+    // on one worker whatever `--threads` asks for.
+    let braid_db = write_temp(
+        "sess_braid_db.dl",
+        "move(h, p0).\nmove(h, q0).\nmove(p0, p1).\nmove(p1, p0).\nmove(q0, q1).\nmove(q1, q0).",
+    );
+    let stats = write_temp("sess_braid_script.txt", "? stats\n");
+    let out = datalog(&[
+        "session",
+        prog.to_str().unwrap(),
+        braid_db.to_str().unwrap(),
+        "--script",
+        stats.to_str().unwrap(),
+        "--threads",
+        "4",
+    ]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("| 1 branches |"), "{text}");
+    assert!(text.lines().any(|l| l == "% threads=1"), "{text}");
 }
 
 #[test]

@@ -137,11 +137,8 @@ pub fn wide_tie_forest_db(chains: usize, pockets: usize) -> Database {
 /// pocket chains of `pockets` draw pockets each, plus one hub position
 /// `h` that can advance into every chain's first pocket. The hub moves
 /// weakly connect everything, so the residual condensation is a *single*
-/// branch — the shape branch-level scheduling cannot split — while the
-/// pockets at equal chain offset share no path and form waves of width
-/// `chains`: the canonical workload for the intra-branch wave scheduler.
-/// (The hub itself sits alone in the deepest wave, exercising the
-/// single-component short-circuit.)
+/// branch — the shape branch-level scheduling cannot split, so every
+/// thread count evaluates it on one worker.
 pub fn braided_tie_chain_db(chains: usize, pockets: usize) -> Database {
     let mut db = Database::new();
     let mut insert = |from: &str, to: &str| {
@@ -166,11 +163,10 @@ pub fn braided_tie_chain_db(chains: usize, pockets: usize) -> Database {
 /// link rule handing each pocket support from its predecessor pocket,
 /// and a guarded hub atom supported by every chain's last pocket. Like
 /// [`braided_tie_chain_db`] the hub makes the residual one
-/// weakly-connected branch with waves of width `chains`, but here every
-/// component does real well-founded work — a `loop_size`-long unfounded
-/// cascade plus the `close` that retires it — so the instance measures
-/// wave *throughput* on the policy-free hot path rather than tie
-/// bookkeeping. The well-founded model is total (everything false).
+/// weakly-connected branch, but here every component does real
+/// well-founded work — a `loop_size`-long unfounded cascade plus the
+/// `close` that retires it — so the instance measures the sequential
+/// kernel on the policy-free hot path rather than tie bookkeeping. The well-founded model is total (everything false).
 pub fn braided_unfounded_chain_program(chains: usize, pockets: usize, loop_size: usize) -> Program {
     assert!(loop_size >= 2, "a link rule needs a second loop atom");
     let mut b = ProgramBuilder::new();

@@ -247,7 +247,7 @@ pub fn process_components(
         }
         stats.record_component(rounds, pass.detailed);
         // One point event per component verdict, in processing order —
-        // the wave determinism suite checks these stay topological.
+        // the trace suite can check they stay topological.
         tiebreak_trace::instant(
             "eval",
             "component",

@@ -179,15 +179,6 @@ pub struct UnfoundedEngine {
     comp_group: Vec<u32>,
     /// Member components of each group, in topological order.
     group_comps: Vec<Vec<u32>>,
-    /// Wave depth of each component: its longest-path layer in the
-    /// condensation DAG (sources are 0). Every condensation edge strictly
-    /// increases depth, so equal-depth components share no path — the
-    /// members of one *wave* are causally independent and can be
-    /// evaluated on divergent forks (the wave scheduler's dispatch unit).
-    comp_depth: Vec<u32>,
-    /// Widest wave (largest equal-depth component count) of each branch
-    /// group — the group's intra-branch parallelism budget.
-    group_width: Vec<u32>,
     /// Component ids retired by earlier [`UnfoundedEngine::patch_cone`]
     /// calls and not yet reassigned, kept sorted descending (allocation
     /// pops the smallest). Bounds the component tables at their peak
@@ -317,8 +308,6 @@ impl UnfoundedEngine {
             order,
             comp_group: Vec::new(),
             group_comps: Vec::new(),
-            comp_depth: Vec::new(),
-            group_width: Vec::new(),
             free_comps: Vec::new(),
             pending: vec![0; graph.rule_count()],
             removed: vec![false; graph.atom_count()],
@@ -601,70 +590,6 @@ impl UnfoundedEngine {
             self.comp_group[c as usize] = g;
             self.group_comps[g as usize].push(c);
         }
-        self.rebuild_depths(closer);
-    }
-
-    /// Recomputes wave depths and per-group wave widths from the current
-    /// component assignment and aliveness, in one pass over the
-    /// topological order. A component's in-edges are exactly (a) its
-    /// alive head rules sitting in another component (external support)
-    /// and (b) the out-of-component alive positive/negative body atoms of
-    /// its member rules — both derived from the bipartite edges `close`
-    /// propagates along, so the depth layering is faithful to the
-    /// condensation DAG the scheduler walks.
-    fn rebuild_depths(&mut self, closer: &Closer<'_>) {
-        let graph = closer.graph();
-        self.comp_depth = vec![0; self.comp_atoms.slot_count()];
-        for i in 0..self.order.len() {
-            let c = self.order[i];
-            let mut depth = 0u32;
-            for &r in self.comp_head_rules.get(c) {
-                if !closer.rule_alive(r) {
-                    continue;
-                }
-                let rc = self.rule_comp[r.index()];
-                if rc != NO_COMP && rc != c {
-                    depth = depth.max(self.comp_depth[rc as usize] + 1);
-                }
-            }
-            for &r in self.comp_rules.get(c) {
-                if !closer.rule_alive(r) {
-                    continue;
-                }
-                for &(a, _) in &graph.rule(r).body {
-                    if !closer.atom_alive(a) {
-                        continue;
-                    }
-                    let ac = self.atom_comp[a.index()];
-                    if ac != NO_COMP && ac != c {
-                        depth = depth.max(self.comp_depth[ac as usize] + 1);
-                    }
-                }
-            }
-            self.comp_depth[c as usize] = depth;
-        }
-        let mut depths: Vec<u32> = Vec::new();
-        self.group_width = Vec::with_capacity(self.group_comps.len());
-        for comps in &self.group_comps {
-            depths.clear();
-            for &c in comps {
-                depths.push(self.comp_depth[c as usize]);
-            }
-            depths.sort_unstable();
-            let mut widest = 0u32;
-            let mut run = 0u32;
-            let mut prev = u32::MAX;
-            for &d in &depths {
-                if d == prev {
-                    run += 1;
-                } else {
-                    prev = d;
-                    run = 1;
-                }
-                widest = widest.max(run);
-            }
-            self.group_width.push(widest);
-        }
     }
 
     /// Number of branch groups (weakly connected families of components).
@@ -689,27 +614,6 @@ impl UnfoundedEngine {
     /// The member atoms of component `c` (aliveness as of build time).
     pub fn component_atoms(&self, c: u32) -> &[AtomId] {
         self.comp_atoms.get(c)
-    }
-
-    /// Wave depth of component `c`: its longest-path layer in the
-    /// condensation DAG (sources are 0). Equal-depth components of one
-    /// branch share no path and are therefore causally independent.
-    pub fn component_depth(&self, c: u32) -> u32 {
-        self.comp_depth[c as usize]
-    }
-
-    /// The widest wave (largest number of equal-depth components) of
-    /// branch group `g` — how many workers an intra-branch wave of this
-    /// group can keep busy at once.
-    pub fn group_wave_width(&self, g: u32) -> usize {
-        self.group_width[g as usize] as usize
-    }
-
-    /// The widest wave over all branch groups: the exploitable
-    /// parallelism of the prepared state when branch-level scheduling
-    /// alone cannot split the work.
-    pub fn widest_wave(&self) -> usize {
-        self.group_width.iter().copied().max().unwrap_or(0) as usize
     }
 
     /// The component of `atom`, if it was alive at build time.
@@ -1248,9 +1152,9 @@ mod tests {
 
     #[test]
     fn wave_depths_layer_the_condensation() {
-        // Two independent ties at depth 0 feed a stuck loop through one
-        // rule each: the stuck loop sits at depth 1, the ties form one
-        // two-wide wave, and the whole thing is a single branch group.
+        // Two independent ties feed a stuck loop through one rule each:
+        // the whole thing is a single branch group, and both ties come
+        // before the loop in the processing order.
         let (g, p, d) = closed(
             "a :- not b.\nb :- not a.\nc :- not d.\nd :- not c.\ne :- not a, not c, not e.",
             "",
@@ -1260,22 +1164,15 @@ mod tests {
         let ca = engine.component_of_atom(atom(&g, "a")).unwrap();
         let cc = engine.component_of_atom(atom(&g, "c")).unwrap();
         let ce = engine.component_of_atom(atom(&g, "e")).unwrap();
-        assert_eq!(engine.component_depth(ca), 0);
-        assert_eq!(engine.component_depth(cc), 0);
-        assert_eq!(engine.component_depth(ce), 1);
         assert_eq!(engine.group_count(), 1);
-        assert_eq!(engine.group_wave_width(0), 2);
-        assert_eq!(engine.widest_wave(), 2);
-        // Edges strictly increase depth, so a depth layering is always a
-        // topological layering of the processing order.
         let pos = |c: u32| engine.order().iter().position(|&x| x == c).unwrap();
         assert!(pos(ca) < pos(ce) && pos(cc) < pos(ce));
     }
 
     #[test]
     fn patched_engine_keeps_wave_depths_fresh() {
-        // Retracting the bridge fact splits the branch; depths and wave
-        // widths must match a fresh build on the mutated state.
+        // Retracting the bridge fact splits the branch; the patched
+        // branch groups must match a fresh build on the mutated state.
         let p = parse_program(
             "p :- not q.\nq :- not p.\na :- not b.\nb :- not a.\nr :- not p, not a, e.",
         )
@@ -1284,7 +1181,7 @@ mod tests {
         let g = ground(&p, &d, &GroundConfig::default()).unwrap();
         let (mut closer, mut model) = run_close(&g, &p, &d);
         let mut engine = UnfoundedEngine::build(&closer);
-        assert_eq!(engine.widest_wave(), 2, "p-tie and a-tie share depth 0");
+        assert_eq!(engine.group_count(), 1, "r bridges the p-tie and the a-tie");
 
         let e = g
             .atoms()
@@ -1298,12 +1195,13 @@ mod tests {
         engine.patch_cone(&closer, &cone);
 
         let fresh = UnfoundedEngine::build(&closer);
-        assert_eq!(engine.widest_wave(), fresh.widest_wave());
-        for a in closer.alive_atoms() {
-            let pd = engine.component_depth(engine.component_of_atom(a).unwrap());
-            let fd = fresh.component_depth(fresh.component_of_atom(a).unwrap());
-            assert_eq!(pd, fd, "depth differs at {}", g.atoms().decode(a));
-        }
+        assert_eq!(engine.group_count(), 2, "the bridge is gone");
+        assert_eq!(engine.group_count(), fresh.group_count());
+        let group =
+            |eng: &UnfoundedEngine, a| eng.group_of_component(eng.component_of_atom(a).unwrap());
+        let (tie_p, tie_a) = (atom(&g, "p"), atom(&g, "a"));
+        assert_ne!(group(&engine, tie_p), group(&engine, tie_a));
+        assert_ne!(group(&fresh, tie_p), group(&fresh, tie_a));
     }
 
     #[test]

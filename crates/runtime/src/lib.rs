@@ -26,18 +26,10 @@
 //!   join in branch order, so models, outcome sets, and
 //!   [`tiebreak_core::RunStats`] counters are **bit-identical across
 //!   thread counts** (see `tests/runtime_parallel.rs`).
-//! * **Intra-branch wave parallelism.** A single giant weakly-connected
-//!   branch gets no speedup from branch scheduling, so policy-free
-//!   (plain well-founded) evaluations go one level deeper: the branch's
-//!   topological component order is partitioned into *waves* of
-//!   equal-depth components (longest-path layers of the condensation
-//!   DAG — equal depth ⇒ no path between them ⇒ causally independent),
-//!   each wave is claimed across the worker pool, and cross-worker
-//!   hand-off flows through a merge queue drained in component order:
-//!   each component's close-event trail replays on every fork, which by
-//!   confluence reaches exactly the sequential kernel's fixpoint. Waves
-//!   of one component short-circuit to the sequential kernel. See
-//!   `tests/wave_parallel.rs` for the cross-thread differential suite.
+//!   A branch is the smallest scheduling unit: a session whose residual
+//!   is one weakly-connected branch evaluates on one worker
+//!   ([`Solver::effective_threads`]), on the same path as at
+//!   `threads = 1` (see `tests/wave_parallel.rs`).
 //! * **Copy-on-write outcome enumeration, a product over branches.**
 //!   [`Solver::all_outcomes`] forks each evaluation off the shared
 //!   post-close snapshot — a few `memcpy`s — instead of re-running

@@ -274,24 +274,15 @@ impl Solver {
     }
 
     /// The worker count an evaluation will actually use: the resolved
-    /// [`tiebreak_core::RuntimeConfig`] threads, capped by the maximum
-    /// exploitable parallelism of the prepared state — the branch count,
-    /// or the widest intra-branch wave when a single wide branch is the
-    /// whole workload (extra workers would only idle either way).
+    /// [`tiebreak_core::RuntimeConfig`] threads, capped by the branch
+    /// count. A branch always runs on one worker, so a single-branch
+    /// session never spawns one (extra workers would only idle).
     pub fn effective_threads(&self) -> usize {
-        let width = self.branch_count().max(self.engine.widest_wave());
-        self.config.runtime.resolved_threads().min(width).max(1)
-    }
-
-    /// Whether a plain well-founded evaluation of this prepared state
-    /// would dispatch intra-branch waves: more than one effective worker
-    /// and at least one branch whose widest wave is at least two
-    /// components wide (the scheduler's `WAVE_MIN_WIDTH`). Front-ends
-    /// report this next to the thread count so `? stats` and the server
-    /// `stats` verb agree on the pool configuration.
-    pub fn wave_dispatch_eligible(&self) -> bool {
-        self.effective_threads() > 1
-            && self.engine.widest_wave() >= crate::scheduler::WAVE_MIN_WIDTH
+        self.config
+            .runtime
+            .resolved_threads()
+            .min(self.branch_count())
+            .max(1)
     }
 
     /// Inserts one fact (see [`Solver::apply`]).
@@ -769,7 +760,7 @@ impl Solver {
 
     /// Answers a batch of read-only queries against **one** shared
     /// policy-free evaluation: the first query triggers a single
-    /// wave-parallel [`Solver::well_founded_run`], every further query
+    /// branch-parallel [`Solver::well_founded_run`], every further query
     /// is answered from that run by an O(1) model lookup (or a one-time
     /// decode for [`ReadQuery::Model`]). This is the serving tier's
     /// batched read path: N clients querying the same session+epoch cost

@@ -18,7 +18,7 @@
 //! frame (every effective line a `?` query — see
 //! [`ScriptSession::frame_is_read_only`]), the worker takes the longest
 //! prefix of consecutive read-only frames as **one batch** and answers
-//! them all from **one** shared wave-parallel evaluation
+//! them all from **one** shared branch-parallel evaluation
 //! ([`ReadBatch`]): queries that arrived from N connections while an
 //! evaluation was in flight coalesce instead of each re-running the
 //! branch scheduler. A mutating frame at the head is taken alone — the
@@ -31,8 +31,16 @@
 //! Batches are observable: each records the `tiebreak_batch_size`
 //! histogram, bumps `tiebreak_batches_dispatched`, and opens a
 //! `server/batch` span that parents the per-frame request spans.
+//!
+//! Every job runs behind an unwind boundary ([`run_guarded`]). A panic
+//! fails only the frames of that job that were not answered yet: each
+//! of their connections gets an error frame,
+//! `tiebreak_worker_panics_total` counts it, and the worker and the
+//! session queue carry on.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -104,6 +112,20 @@ struct Shared {
     stopping: AtomicBool,
 }
 
+impl Shared {
+    fn new(registry: Arc<SessionRegistry>, notifier: Arc<Notifier>) -> Arc<Shared> {
+        Arc::new(Shared {
+            registry,
+            notifier,
+            work: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            sessions: Mutex::new(HashMap::new()),
+            completions: Mutex::new(Vec::new()),
+            stopping: AtomicBool::new(false),
+        })
+    }
+}
+
 /// The worker pool handle owned by the reactor.
 pub(crate) struct Dispatcher {
     shared: Arc<Shared>,
@@ -117,15 +139,7 @@ impl Dispatcher {
         notifier: Arc<Notifier>,
         workers: usize,
     ) -> Dispatcher {
-        let shared = Arc::new(Shared {
-            registry,
-            notifier,
-            work: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            sessions: Mutex::new(HashMap::new()),
-            completions: Mutex::new(Vec::new()),
-            stopping: AtomicBool::new(false),
-        });
+        let shared = Shared::new(registry, notifier);
         let workers = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -235,6 +249,69 @@ fn complete(shared: &Shared, completion: Completion) {
     shared.notifier.notify();
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only: the connection whose next frame panics on this thread.
+    static PANIC_ON_CONN: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+/// Where a test injects a panic into one frame's handling.
+#[cfg(test)]
+fn fault_point(conn: u64) {
+    if PANIC_ON_CONN.get() == Some(conn) {
+        PANIC_ON_CONN.set(None);
+        panic!("injected fault on connection {conn}");
+    }
+}
+
+#[cfg(not(test))]
+fn fault_point(_conn: u64) {}
+
+/// Runs one job behind an unwind boundary. `job` answers `conns` in
+/// order and counts the answered ones; if it panics, every connection
+/// it had not answered yet gets an error frame instead, so no client
+/// waits forever and the worker survives.
+fn run_guarded(shared: &Shared, conns: &[u64], job: impl FnOnce(&mut usize)) {
+    let mut answered = 0;
+    if catch_unwind(AssertUnwindSafe(|| job(&mut answered))).is_ok() {
+        return;
+    }
+    let m = tiebreak_trace::metrics();
+    m.worker_panics.inc();
+    for &conn in &conns[answered..] {
+        m.request_errors.inc();
+        let mut response = OutFrame::new();
+        let _ = response.write_all(b"error internal: the worker panicked on this request");
+        complete(
+            shared,
+            Completion {
+                conn,
+                response,
+                next: Next::Continue,
+            },
+        );
+    }
+}
+
+/// Answers one frame through the shared request handler.
+fn answer_request(shared: &Shared, conn: u64, session: &Mutex<ConnState>, payload: &[u8]) {
+    fault_point(conn);
+    let mut response = OutFrame::new();
+    let next = {
+        let mut state = session.lock().unwrap_or_else(PoisonError::into_inner);
+        let ConnState { entry, lineno } = &mut *state;
+        handle_request(payload, &shared.registry, entry, lineno, &mut response)
+    };
+    complete(
+        shared,
+        Completion {
+            conn,
+            response,
+            next,
+        },
+    );
+}
+
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let item = {
@@ -252,32 +329,24 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        match item {
-            WorkItem::Free {
-                conn,
-                session,
-                payload,
-            } => {
-                let mut response = OutFrame::new();
-                let next = {
-                    let mut state = session.lock().unwrap_or_else(PoisonError::into_inner);
-                    let ConnState { entry, lineno } = &mut *state;
-                    handle_request(&payload, &shared.registry, entry, lineno, &mut response)
-                };
-                complete(
-                    shared,
-                    Completion {
-                        conn,
-                        response,
-                        next,
-                    },
-                );
-            }
-            WorkItem::Session(key) => drain_session_queue(shared, key),
-        }
+        run_item(shared, item);
         if shared.stopping.load(Ordering::SeqCst) {
             return;
         }
+    }
+}
+
+fn run_item(shared: &Arc<Shared>, item: WorkItem) {
+    match item {
+        WorkItem::Free {
+            conn,
+            session,
+            payload,
+        } => run_guarded(shared, &[conn], |answered| {
+            answer_request(shared, conn, &session, &payload);
+            *answered = 1;
+        }),
+        WorkItem::Session(key) => drain_session_queue(shared, key),
     }
 }
 
@@ -312,33 +381,30 @@ fn drain_session_queue(shared: &Arc<Shared>, key: usize) {
             }
             (Arc::clone(&q.entry), batch)
         };
-        if batch[0].read_only {
-            execute_read_batch(shared, &entry, batch);
-        } else {
-            // The barrier: one mutating frame, executed exactly like
-            // the legacy transport would (same handler, same locking).
-            let job = batch.into_iter().next().expect("batch of one");
-            let mut response = OutFrame::new();
-            let next = {
-                let mut state = job.session.lock().unwrap_or_else(PoisonError::into_inner);
-                let ConnState { entry, lineno } = &mut *state;
-                handle_request(&job.payload, &shared.registry, entry, lineno, &mut response)
-            };
-            complete(
-                shared,
-                Completion {
-                    conn: job.conn,
-                    response,
-                    next,
-                },
-            );
-        }
+        let conns: Vec<u64> = batch.iter().map(|job| job.conn).collect();
+        run_guarded(shared, &conns, |answered| {
+            if batch[0].read_only {
+                execute_read_batch(shared, &entry, batch, answered);
+            } else {
+                // The barrier: one mutating frame, executed exactly like
+                // the legacy transport would (same handler, same locking).
+                let job = &batch[0];
+                answer_request(shared, job.conn, &job.session, &job.payload);
+                *answered = 1;
+            }
+        });
     }
 }
 
 /// Answers a batch of read-only frames from one shared evaluation,
-/// fanning per-frame responses back to their connections.
-fn execute_read_batch(shared: &Shared, entry: &Arc<SessionEntry>, jobs: Vec<ScriptJob>) {
+/// fanning per-frame responses back to their connections and counting
+/// them in `answered`.
+fn execute_read_batch(
+    shared: &Shared,
+    entry: &Arc<SessionEntry>,
+    jobs: Vec<ScriptJob>,
+    answered: &mut usize,
+) {
     let m = tiebreak_trace::metrics();
     m.batches_dispatched.inc();
     m.batch_size.record(jobs.len() as u64);
@@ -347,6 +413,7 @@ fn execute_read_batch(shared: &Shared, entry: &Arc<SessionEntry>, jobs: Vec<Scri
     let session = entry.lock();
     let mut batch = ReadBatch::new();
     for job in jobs {
+        fault_point(job.conn);
         m.requests.inc();
         let started = std::time::Instant::now();
         let span = tiebreak_trace::span("server", tiebreak_trace::metrics::VERBS[vi], &[]);
@@ -374,8 +441,93 @@ fn execute_read_batch(shared: &Shared, entry: &Arc<SessionEntry>, jobs: Vec<Scri
                 next: Next::Continue,
             },
         );
+        *answered += 1;
     }
     drop(session);
     drop(batch_span);
     tiebreak_trace::flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::RegistryConfig;
+
+    /// A pool with no threads: the test thread runs the queued work, so
+    /// the thread-local fault hook reaches it.
+    fn inline_dispatcher() -> Dispatcher {
+        let (notifier, _waker_rx) = crate::reactor::waker_pair().expect("waker pair");
+        let registry = Arc::new(SessionRegistry::new(RegistryConfig::default()));
+        Dispatcher {
+            shared: Shared::new(registry, Arc::new(notifier)),
+            workers: Vec::new(),
+        }
+    }
+
+    fn run_queued(dispatcher: &Dispatcher) {
+        loop {
+            let item = dispatcher
+                .shared
+                .work
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop_front();
+            let Some(item) = item else { return };
+            run_item(&dispatcher.shared, item);
+        }
+    }
+
+    fn replies(dispatcher: &Dispatcher) -> Vec<(u64, String)> {
+        dispatcher
+            .drain_completions()
+            .into_iter()
+            .map(|c| {
+                let text = String::from_utf8_lossy(c.response.payload()).into_owned();
+                (c.conn, text)
+            })
+            .collect()
+    }
+
+    /// A panic inside a read batch fails the frames it had not answered
+    /// yet with an error frame, and the session keeps serving.
+    #[test]
+    fn worker_panic_fails_its_frames_and_the_session_keeps_serving() {
+        let dispatcher = inline_dispatcher();
+        let entry = dispatcher
+            .shared
+            .registry
+            .open("win(X) :- move(X, Y), not win(Y).", "move(a, b).")
+            .expect("opens")
+            .entry;
+        let conn_state = || {
+            Arc::new(Mutex::new(ConnState {
+                entry: Some(Arc::clone(&entry)),
+                lineno: 0,
+            }))
+        };
+        let conns: Vec<_> = (1..=3u64).map(|id| (id, conn_state())).collect();
+        let panics_before = tiebreak_trace::metrics().worker_panics.get();
+
+        PANIC_ON_CONN.set(Some(2));
+        for (id, state) in &conns {
+            dispatcher.submit(*id, state, b"script\n? win(a)\n".to_vec());
+        }
+        run_queued(&dispatcher);
+        let first = replies(&dispatcher);
+        assert_eq!(first.len(), 3, "every frame is answered: {first:?}");
+        assert_eq!(first[0].0, 1);
+        assert!(first[0].1.contains("win(a): true"), "{first:?}");
+        for (conn, text) in &first[1..] {
+            assert!(text.starts_with("error internal"), "conn {conn}: {text}");
+        }
+        assert!(tiebreak_trace::metrics().worker_panics.get() > panics_before);
+
+        // The queue was not stranded: a later frame on the same session
+        // is dispatched and answered.
+        dispatcher.submit(2, &conns[1].1, b"script\n? win(b)\n".to_vec());
+        run_queued(&dispatcher);
+        let second = replies(&dispatcher);
+        assert_eq!(second.len(), 1, "{second:?}");
+        assert!(second[0].1.contains("win(b): false"), "{second:?}");
+    }
 }

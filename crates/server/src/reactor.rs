@@ -211,7 +211,7 @@ fn acknowledge_wakeup(notifier: &Notifier, waker_rx: &TcpStream) {
 /// connect to it, accept, and verify the accepted peer is our own
 /// connect (so a stranger racing the ephemeral port cannot hijack the
 /// waker).
-fn waker_pair() -> io::Result<(Notifier, TcpStream)> {
+pub(crate) fn waker_pair() -> io::Result<(Notifier, TcpStream)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let tx = TcpStream::connect(listener.local_addr()?)?;
     let ours = tx.local_addr()?;

@@ -162,7 +162,7 @@ impl ScriptSession {
     /// [`process_line`](ScriptSession::process_line) +
     /// [`finish`](ScriptSession::finish) would have produced for the
     /// same lines — but every frame sharing `batch` reuses one
-    /// wave-parallel evaluation instead of paying its own. `lineno`
+    /// branch-parallel evaluation instead of paying its own. `lineno`
     /// advances across the frame exactly like the sequential path, and
     /// the returned count is the frame's failed lines.
     ///
@@ -301,12 +301,7 @@ impl ScriptSession {
         )?;
         // Same accessors as the server's `stats` verb, so the two
         // views of the thread pool cannot disagree.
-        writeln!(
-            out,
-            "% threads={} wave_dispatch={}",
-            self.solver.effective_threads(),
-            self.solver.wave_dispatch_eligible(),
-        )?;
+        writeln!(out, "% threads={}", self.solver.effective_threads())?;
         if let Some(delta) = self.solver.last_delta() {
             writeln!(out, "{}", describe_delta(delta))?;
         }

@@ -3,7 +3,7 @@
 //!
 //! Unlike spans, metrics are **always on**: every cell is a plain
 //! `AtomicU64` updated with relaxed ordering, and every instrumentation
-//! point sits at a coarse phase boundary (per close run, per wave, per
+//! point sits at a coarse phase boundary (per close run, per branch, per
 //! server request — never per atom), so there is no hot-loop contention
 //! to gate. [`Metrics::snapshot`] captures a point-in-time copy as plain
 //! data; [`MetricsSnapshot::render_prometheus`] renders the Prometheus
@@ -208,9 +208,6 @@ pub struct Metrics {
     pub branches_evaluated: Counter,
     pub branch_cache_hits: Counter,
     pub outcome_scripts: Counter,
-    pub waves_dispatched: Counter,
-    pub wave_width: Histogram,
-    pub merge_queue_depth: Histogram,
     // Serving tier.
     pub registry_hits: Counter,
     pub registry_misses: Counter,
@@ -228,6 +225,8 @@ pub struct Metrics {
     pub conns_reaped: Counter,
     pub batches_dispatched: Counter,
     pub batch_size: Histogram,
+    /// Dispatch jobs that panicked; each one failed only its own frames.
+    pub worker_panics: Counter,
     // The recorder's own health.
     pub trace_events_dropped: Counter,
 }
@@ -248,9 +247,6 @@ impl Metrics {
             branches_evaluated: Counter::new(),
             branch_cache_hits: Counter::new(),
             outcome_scripts: Counter::new(),
-            waves_dispatched: Counter::new(),
-            wave_width: Histogram::new(),
-            merge_queue_depth: Histogram::new(),
             registry_hits: Counter::new(),
             registry_misses: Counter::new(),
             registry_evictions: Counter::new(),
@@ -264,6 +260,7 @@ impl Metrics {
             conns_reaped: Counter::new(),
             batches_dispatched: Counter::new(),
             batch_size: Histogram::new(),
+            worker_panics: Counter::new(),
             trace_events_dropped: Counter::new(),
         }
     }
@@ -319,7 +316,6 @@ impl Metrics {
             ("branches_evaluated", &self.branches_evaluated),
             ("branch_cache_hits", &self.branch_cache_hits),
             ("outcome_scripts", &self.outcome_scripts),
-            ("waves_dispatched", &self.waves_dispatched),
             ("registry_hits", &self.registry_hits),
             ("registry_misses", &self.registry_misses),
             ("registry_evictions", &self.registry_evictions),
@@ -328,6 +324,7 @@ impl Metrics {
             ("request_errors", &self.request_errors),
             ("conns_reaped", &self.conns_reaped),
             ("batches_dispatched", &self.batches_dispatched),
+            ("worker_panics", &self.worker_panics),
             ("trace_events_dropped", &self.trace_events_dropped),
         ]
     }
@@ -343,11 +340,8 @@ impl Metrics {
     /// `(metric name, optional label value, histogram)` — per-verb
     /// latency histograms share one metric name with a `verb` label.
     fn histograms(&self) -> Vec<(&'static str, Option<&'static str>, &Histogram)> {
-        let mut all: Vec<(&'static str, Option<&'static str>, &Histogram)> = vec![
-            ("wave_width", None, &self.wave_width),
-            ("merge_queue_depth", None, &self.merge_queue_depth),
-            ("batch_size", None, &self.batch_size),
-        ];
+        let mut all: Vec<(&'static str, Option<&'static str>, &Histogram)> =
+            vec![("batch_size", None, &self.batch_size)];
         for (verb, h) in VERBS.iter().zip(&self.request_latency_us) {
             all.push(("request_latency_us", Some(verb), h));
         }

@@ -1,24 +1,21 @@
-//! Wave-scheduler determinism suite: intra-branch parallelism across
-//! thread counts.
+//! Single-branch thread independence.
 //!
 //! The braided generators force the whole residual into **one**
-//! weakly-connected branch (the shape branch-level scheduling cannot
-//! split), so with `threads > 1` the runtime takes the wave path:
-//! equal-depth components dispatched across the worker pool, close-event
-//! trails merged in component order. Every instance is checked, for
+//! weakly-connected branch. A branch is never split across workers, so
+//! every thread count must evaluate it on the same sequential path and
+//! give the same answer. Every instance is checked, for
 //! `threads ∈ {1, 2, 8}` and **both ground modes**:
 //!
 //! * **identical well-founded models** — also equal to the one-shot
 //!   `tiebreak-core` interpreter on an independently grounded graph;
 //! * **identical tie-breaking outcome sets** (pure and well-founded
 //!   flavours), also equal to the core enumerator's;
-//! * **identical merged [`RunStats`]** — per-component partials fold in
-//!   component order at the wave merge, so the whole struct compares
-//!   with `==` across thread counts;
+//! * **identical merged [`RunStats`]** — the whole struct compares with
+//!   `==` across thread counts;
 //! * all of the above **after every incremental mutation** of a churn
-//!   script (`patch_cone` splices — wave depths and widths must stay
-//!   fresh), with the wf model also checked against a from-scratch
-//!   solver on the mutated database.
+//!   script (`patch_cone` splices split and re-merge the branch), with
+//!   the wf model also checked against a from-scratch solver on the
+//!   mutated database.
 
 use std::collections::BTreeSet;
 
@@ -86,7 +83,7 @@ fn outcome_set_of_models(
 
 /// The cross-thread check over freshly prepared solvers: wf model (vs the
 /// one-shot reference), outcome sets (vs the core enumerator), stats.
-fn assert_wave_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
+fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
     let ref_graph = ground(program, db, &GroundConfig::default()).expect("reference grounds");
     let reference = well_founded(&ref_graph, program, db).expect("reference runs");
     let mut ref_true: Vec<String> = reference
@@ -140,8 +137,8 @@ fn assert_wave_threads_agree(program: &Program, db: &Database, mode: GroundMode)
     }
 }
 
-/// The braid is one weakly-connected branch with waves as wide as its
-/// chain count, so `threads = 8` genuinely exercises wave dispatch.
+/// The braid is one weakly-connected branch, so even `threads = 8`
+/// evaluates it on a single worker.
 #[test]
 fn braided_tie_chain_is_one_wide_branch() {
     let program = generators::win_move_program();
@@ -149,12 +146,8 @@ fn braided_tie_chain_is_one_wide_branch() {
     for mode in [GroundMode::Full, GroundMode::Relevant] {
         let solver = solver_for(&program, &db, mode, 8);
         assert_eq!(solver.branch_count(), 1, "hub must weakly connect all");
-        assert!(
-            solver.effective_threads() >= 4,
-            "wave width must admit extra workers (got {})",
-            solver.effective_threads()
-        );
-        assert_wave_threads_agree(&program, &db, mode);
+        assert_eq!(solver.effective_threads(), 1, "one branch, one worker");
+        assert_threads_agree(&program, &db, mode);
     }
 }
 
@@ -193,14 +186,14 @@ proptest! {
         let program = generators::win_move_program();
         let db = generators::braided_tie_chain_db(chains, pockets);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_wave_threads_agree(&program, &db, mode);
+            assert_threads_agree(&program, &db, mode);
         }
     }
 
     /// Incremental churn: flip advance and hub edges of a braid through
-    /// `patch_cone` splices (branch splits and re-merges, wave depths
-    /// shift) and re-check the cross-thread invariants after every
-    /// mutation, plus the wf model against a from-scratch solver.
+    /// `patch_cone` splices (branch splits and re-merges) and re-check
+    /// the cross-thread invariants after every mutation, plus the wf
+    /// model against a from-scratch solver.
     #[test]
     fn churned_braids_agree(
         flips in proptest::collection::vec((0usize..3, 0usize..3, prop::bool::ANY), 1..5),
