@@ -1,15 +1,13 @@
-//! E-RUNTIME — the parallel session runtime vs. the one-shot pipeline.
+//! E-RUNTIME — the session runtime vs. the one-shot pipeline.
 //!
 //! Three claims of the `tiebreak-runtime` subsystem, measured:
 //!
 //! * **Session amortization** — a prepared [`Solver`] serves an
 //!   evaluation without re-grounding/re-closing, vs. the `Engine` facade
 //!   rebuilding the pipeline per query;
-//! * **Parallel branch scheduling** — on a wide condensation (a forest
-//!   of independent win–move tie chains,
-//!   [`generators::wide_tie_forest_db`]) evaluation wall time scales
-//!   with `RuntimeConfig::threads` (bounded by the machine's cores — on
-//!   a single-core host the thread counts coincide);
+//! * **Wide condensations** — evaluation wall time on a forest of
+//!   independent win–move tie chains
+//!   ([`generators::wide_tie_forest_db`], one branch per chain);
 //! * **Copy-on-write outcome enumeration** — `Solver::all_outcomes`
 //!   forks each tie script off the shared post-close snapshot, vs. the
 //!   core enumerator re-running `close` per script
@@ -17,23 +15,17 @@
 //!   chain).
 //!
 //! The CI `bench-trajectory` job runs the same instances through
-//! `bench_trajectory` with hard gates (≥2× at 4 threads on ≥4 cores,
-//! ≥5× CoW at 64 scripts).
+//! `bench_trajectory`, which gates the CoW speedup (≥5× at 64 scripts).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use datalog_ground::GroundMode;
 use paper_constructions::generators;
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
-use tiebreak_core::{Engine, EngineConfig, EvalMode, EvalOptions, RootTruePolicy, RuntimeConfig};
+use tiebreak_core::{Engine, EvalMode, EvalOptions, RootTruePolicy};
 use tiebreak_runtime::{uniform, Solver};
 
-fn solver(program: &str, db: datalog_ast::Database, threads: usize) -> Solver {
-    Solver::with_config(
-        datalog_ast::parse_program(program).expect("parses"),
-        db,
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-    )
-    .expect("prepares")
+fn solver(program: &str, db: datalog_ast::Database) -> Solver {
+    Solver::new(datalog_ast::parse_program(program).expect("parses"), db).expect("prepares")
 }
 
 const WIN_MOVE: &str = "win(X) :- move(X, Y), not win(Y).";
@@ -44,24 +36,17 @@ fn bench_wide_forest_scaling(c: &mut Criterion) {
     let chains = 64usize;
     let pockets = 8usize;
     group.throughput(Throughput::Elements((chains * pockets) as u64));
-    for &threads in &[1usize, 2, 4] {
-        let s = solver(
-            WIN_MOVE,
-            generators::wide_tie_forest_db(chains, pockets),
-            threads,
-        );
-        assert_eq!(s.branch_count(), chains);
-        let id = BenchmarkId::new("threads", threads);
-        group.bench_with_input(id, &threads, |b, _| {
-            b.iter(|| {
-                let out = s
-                    .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                    .expect("runs");
-                assert!(out.total);
-                std::hint::black_box(out.stats.ties_broken)
-            });
+    let s = solver(WIN_MOVE, generators::wide_tie_forest_db(chains, pockets));
+    assert_eq!(s.branch_count(), chains);
+    group.bench_function("evaluate", |b| {
+        b.iter(|| {
+            let out = s
+                .well_founded_tie_breaking(&uniform(RootTruePolicy))
+                .expect("runs");
+            assert!(out.total);
+            std::hint::black_box(out.stats.ties_broken)
         });
-    }
+    });
     group.finish();
 }
 
@@ -83,7 +68,7 @@ fn bench_session_amortization(c: &mut Criterion) {
     });
 
     // Session: prepared once outside the timer, evaluate per query.
-    let s = solver(WIN_MOVE, db_src.clone(), 1);
+    let s = solver(WIN_MOVE, db_src.clone());
     group.bench_function("solver_per_query", |b| {
         b.iter(|| {
             let out = s
@@ -124,7 +109,7 @@ fn bench_outcomes_cow(c: &mut Criterion) {
         });
     });
 
-    let s = solver(WIN_MOVE, db.clone(), 1);
+    let s = solver(WIN_MOVE, db.clone());
     group.bench_function("cow_fork_per_script", |b| {
         b.iter(|| {
             let set = s.all_outcomes(false, 256).expect("enumerates");

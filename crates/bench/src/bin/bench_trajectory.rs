@@ -21,11 +21,6 @@
 //!   the legacy thread-per-connection transport when the machine has
 //!   ≥ 4 cores (below that the timings are recorded and the gate is a
 //!   first-class skip);
-//! * on a wide tie forest (64 independent branches) evaluation at
-//!   `threads = 4` must be ≥ 2× faster than `threads = 1` when the
-//!   machine has ≥ 4 cores (≥ 1.2× on 2–3 cores; the gate is skipped —
-//!   recorded as such — on a single-core host, where no wall-time
-//!   speedup is physically possible);
 //! * with the span recorder **disabled** (the production default) the
 //!   braided-chain timing must stay within 2% of the previous commit's
 //!   `wave_braided_chain threads1` entry — the check needs `--baseline`
@@ -36,7 +31,7 @@
 //! Skipped gates are first-class: every gate carries a `skipped` flag in
 //! the JSON, the summary lists them under `skipped_gates`, and the
 //! detected core count is recorded as `cores_detected` — so a run on a
-//! small runner is distinguishable from a run where the parallel gates
+//! small runner is distinguishable from a run where the batching gate
 //! actually held.
 //!
 //! Gates compare configurations on the same machine in the same process,
@@ -65,7 +60,7 @@ use paper_constructions::generators;
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
 use tiebreak_core::semantics::well_founded::well_founded_with;
 use tiebreak_core::semantics::{well_founded_tie_breaking_with, RootTruePolicy};
-use tiebreak_core::{EngineConfig, EvalMode, EvalOptions, RunStats, RuntimeConfig};
+use tiebreak_core::{EngineConfig, EvalMode, EvalOptions, RunStats};
 use tiebreak_runtime::{uniform, Solver};
 
 /// Timed runs per configuration; the minimum is reported.
@@ -222,42 +217,36 @@ fn grounding_entries(entries: &mut Vec<Entry>, n: usize) {
     }
 }
 
-/// The wide-forest workload through the session runtime at several
-/// worker counts. The session is prepared outside the timer: the gate
-/// measures evaluation scheduling, not grounding.
+/// The wide-forest workload (one branch per chain) through the session
+/// runtime. The session is prepared outside the timer: the entry
+/// measures evaluation, not grounding. The mode keeps its historical
+/// `threads1` name so the rolling baseline still matches it.
 fn runtime_forest_entries(entries: &mut Vec<Entry>, chains: usize, pockets: usize) {
     let program = generators::win_move_program();
     let db = generators::wide_tie_forest_db(chains, pockets);
-    for &threads in &[1usize, 2, 4] {
-        let solver = Solver::with_config(
-            program.clone(),
-            db.clone(),
-            EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-        )
-        .expect("prepares");
-        assert_eq!(solver.branch_count(), chains, "one branch per chain");
-        let (wall_ms, stats) = best_of(|| {
-            let out = solver
-                .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                .expect("runs");
-            assert!(out.total, "every pocket is decided");
-            out.stats
-        });
-        entries.push(Entry {
-            bench: "runtime_wide_forest",
-            n: chains,
-            mode: format!("threads{threads}"),
-            wall_ms,
-            atoms: solver.graph().atom_count(),
-            rules: solver.graph().rule_count(),
-            stats,
-        });
-    }
+    let solver = Solver::new(program, db).expect("prepares");
+    assert_eq!(solver.branch_count(), chains, "one branch per chain");
+    let (wall_ms, stats) = best_of(|| {
+        let out = solver
+            .well_founded_tie_breaking(&uniform(RootTruePolicy))
+            .expect("runs");
+        assert!(out.total, "every pocket is decided");
+        out.stats
+    });
+    entries.push(Entry {
+        bench: "runtime_wide_forest",
+        n: chains,
+        mode: "threads1".to_owned(),
+        wall_ms,
+        atoms: solver.graph().atom_count(),
+        rules: solver.graph().rule_count(),
+        stats,
+    });
 }
 
-/// The braided unfounded chain — one weakly-connected branch — at 1 and
-/// 4 configured workers. A branch is never split, so both run on one
-/// worker; the pair records that asking for more threads costs nothing.
+/// The braided unfounded chain — one weakly-connected branch. The mode
+/// keeps its historical `threads1` name: the rolling baseline and the
+/// `trace_overhead_disabled_2pct` gate look the entry up by it.
 /// Unlike the other entries this cannot reuse `best_of` over a shared
 /// solver: the session memoizes policy-free branch results, so a second
 /// `well_founded` on the same solver would time the cache replay rather
@@ -271,43 +260,35 @@ fn braided_chain_entries(
 ) {
     let program = generators::braided_unfounded_chain_program(chains, pockets, loop_size);
     let db = Database::new();
-    for &threads in &[1usize, 4] {
-        let mut best = f64::INFINITY;
-        let mut shape = (0usize, 0usize);
-        let mut stats = RunStats::default();
-        for _ in 0..RUNS {
-            let solver = Solver::with_config(
-                program.clone(),
-                db.clone(),
-                EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-            )
-            .expect("prepares");
-            assert_eq!(
-                solver.branch_count(),
-                1,
-                "the hub weakly connects all chains"
-            );
-            assert_eq!(solver.effective_threads(), 1, "one branch, one worker");
-            let t = Instant::now();
-            let out = solver.well_founded().expect("runs");
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            assert!(out.total, "the braid is decided (everything unfounded)");
-            shape = (solver.graph().atom_count(), solver.graph().rule_count());
-            stats = out.stats;
-        }
-        entries.push(Entry {
-            bench: "wave_braided_chain",
-            n: chains,
-            mode: format!("threads{threads}"),
-            wall_ms: best,
-            atoms: shape.0,
-            rules: shape.1,
-            stats,
-        });
+    let mut best = f64::INFINITY;
+    let mut shape = (0usize, 0usize);
+    let mut stats = RunStats::default();
+    for _ in 0..RUNS {
+        let solver = Solver::new(program.clone(), db.clone()).expect("prepares");
+        assert_eq!(
+            solver.branch_count(),
+            1,
+            "the hub weakly connects all chains"
+        );
+        let t = Instant::now();
+        let out = solver.well_founded().expect("runs");
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        assert!(out.total, "the braid is decided (everything unfounded)");
+        shape = (solver.graph().atom_count(), solver.graph().rule_count());
+        stats = out.stats;
     }
+    entries.push(Entry {
+        bench: "wave_braided_chain",
+        n: chains,
+        mode: "threads1".to_owned(),
+        wall_ms: best,
+        atoms: shape.0,
+        rules: shape.1,
+        stats,
+    });
 }
 
-/// Tracing overhead on the braided chain at one worker. `disabled` is
+/// Tracing overhead on the braided chain. `disabled` is
 /// the production configuration — recorder off, every instrumentation
 /// point one relaxed atomic load and a branch — and is what the ≤ 2%
 /// gate compares against the previous commit's `wave_braided_chain
@@ -331,12 +312,7 @@ fn trace_overhead_entries(
             // Fresh solver per run for the same reason as
             // `braided_chain_entries`: the session memoizes policy-free
             // branch results, so reuse would time cache replay.
-            let solver = Solver::with_config(
-                program.clone(),
-                db.clone(),
-                EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1)),
-            )
-            .expect("prepares");
+            let solver = Solver::new(program.clone(), db.clone()).expect("prepares");
             let t = Instant::now();
             let out = solver.well_founded().expect("runs");
             best = best.min(t.elapsed().as_secs_f64() * 1e3);
@@ -413,12 +389,7 @@ fn outcomes_cow_entries(entries: &mut Vec<Entry>, decided: usize, pockets: usize
         stats: RunStats::default(),
     });
 
-    let solver = Solver::with_config(
-        program.clone(),
-        db.clone(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1)),
-    )
-    .expect("prepares");
+    let solver = Solver::new(program.clone(), db.clone()).expect("prepares");
     let (wall_ms, runs) = best_of(|| {
         let set = solver.all_outcomes(false, scripts * 4).expect("enumerates");
         set.runs
@@ -452,9 +423,7 @@ fn session_churn_entries(entries: &mut Vec<Entry>, sizes: &[usize], churn: usize
             let mut solver = Solver::with_config(
                 program.clone(),
                 db.clone(),
-                EngineConfig::default()
-                    .with_runtime(RuntimeConfig::with_threads(1))
-                    .with_incremental(incremental),
+                EngineConfig::default().with_incremental(incremental),
             )
             .expect("prepares");
             let (wall_ms, ()) = best_of(|| {
@@ -688,7 +657,6 @@ fn wall_of(entries: &[Entry], bench: &str, n: usize, mode: &str) -> f64 {
 fn gates(
     entries: &[Entry],
     sizes: &[usize],
-    forest_chains: usize,
     scripts: usize,
     baseline: &[BaselineEntry],
 ) -> Vec<Gate> {
@@ -714,30 +682,6 @@ fn gates(
             });
         }
     }
-
-    // Parallel scheduling: a wall-time gate only makes sense when the
-    // machine can actually run workers concurrently. On a single core the
-    // gate is *skipped* (and recorded as skipped), never silently passed.
-    let cores = detected_cores();
-    let t1 = wall_of(entries, "runtime_wide_forest", forest_chains, "threads1");
-    let t4 = wall_of(entries, "runtime_wide_forest", forest_chains, "threads4");
-    let speedup = t1 / t4.max(f64::MIN_POSITIVE);
-    let (pass, skipped, requirement) = if cores >= 4 {
-        (t4 * 2.0 <= t1, false, "2.0x (>=4 cores)")
-    } else if cores >= 2 {
-        (t4 * 1.2 <= t1, false, "1.2x (2-3 cores)")
-    } else {
-        (true, true, "none (single core; timings recorded)")
-    };
-    gates.push(Gate {
-        name: format!("runtime_forest_parallel_speedup_c{forest_chains}"),
-        pass,
-        skipped,
-        detail: format!(
-            "threads4 {t4:.3}ms vs threads1 {t1:.3}ms = {speedup:.2}x, required {requirement}, \
-             {cores} core(s)"
-        ),
-    });
 
     // Copy-on-write enumeration: single-threaded, machine-independent.
     let reclose = wall_of(entries, "outcomes_enumeration", scripts, "reclose");
@@ -792,6 +736,7 @@ fn gates(
     let legacy = wall_of(entries, "server_batching", SERVER_LRU_N, "legacy");
     let reactor = wall_of(entries, "server_batching", SERVER_LRU_N, "reactor");
     let speedup = legacy / reactor.max(f64::MIN_POSITIVE);
+    let cores = detected_cores();
     let (pass, skipped, requirement) = if cores >= 4 {
         (reactor * 3.0 <= legacy, false, "3.0x (>=4 cores)")
     } else {
@@ -1048,13 +993,12 @@ fn main() {
     };
 
     let tie_sizes = [256usize, 1024, 4096];
-    let forest_chains = 64;
     let cow_scripts = 64;
     let mut entries = Vec::new();
     tie_chain_entries(&mut entries, &tie_sizes);
     unfounded_chain_entries(&mut entries, &tie_sizes);
     grounding_entries(&mut entries, 256);
-    runtime_forest_entries(&mut entries, forest_chains, 8);
+    runtime_forest_entries(&mut entries, 64, 8);
     braided_chain_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
     trace_overhead_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
     outcomes_cow_entries(&mut entries, 4096, 6); // 2^6 = 64 scripts
@@ -1062,7 +1006,7 @@ fn main() {
     server_lru_entries(&mut entries, SERVER_LRU_N, 8);
     server_batching_entries(&mut entries, SERVER_LRU_N, BATCH_CONNS, BATCH_REPEATS);
 
-    let gates = gates(&entries, &tie_sizes, forest_chains, cow_scripts, &baseline);
+    let gates = gates(&entries, &tie_sizes, cow_scripts, &baseline);
     let json = to_json(&sha, &entries, &gates, &baseline);
     std::fs::write(&out_path, &json).expect("write summary");
     if let Some(path) = &summary_path {

@@ -11,10 +11,8 @@
 //! datalog outcomes <program.dl> [database.dl] [--semantics tb|pure-tb] [--limit N]
 //! datalog totality <program.dl> [--nonuniform]          (propositional only)
 //! datalog session  <program.dl> [database.dl] [--script FILE] [--semantics tb|pure-tb]
-//!                  [--threads N]
-//! datalog serve    [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N]
-//!                  [--max-sessions N] [--max-resident-atoms N] [--strict]
-//!                  [--max-idle-secs N]
+//! datalog serve    [--addr HOST:PORT] [--semantics tb|pure-tb] [--max-sessions N]
+//!                  [--max-resident-atoms N] [--strict] [--max-idle-secs N]
 //! datalog client   <program.dl> [database.dl] --addr HOST:PORT [--script FILE]
 //!                  [--concurrency N] [--repeat K]
 //! datalog client   --addr HOST:PORT --stats | --metrics | --shutdown
@@ -27,10 +25,9 @@
 //!   depends only on program, database, `--policy` and `--seed`.
 //! - `outcomes` prepares one [`Solver`] and enumerates the tie outcomes as
 //!   a copy-on-write product over independent condensation branches.
-//! - `session` and `serve` hold long-lived solvers; they are the only
-//!   commands that take `--threads N` (N ≥ 1; omit the flag for automatic
-//!   selection via `TIEBREAK_THREADS`, which warns and falls back when
-//!   unusable). Every other command rejects the flag.
+//! - `session` and `serve` hold long-lived solvers. Each evaluation runs
+//!   on the thread that serves it; `serve` gets its parallelism across
+//!   requests, from the reactor's worker pool.
 //!
 //! `run`, `outcomes`, `session`, and `serve` accept `--trace-out FILE`
 //! (write a chrome://tracing Trace Event JSON file when the command
@@ -90,7 +87,7 @@ use std::process::ExitCode;
 
 use tiebreak_core::engine::EvalOutcome;
 use tiebreak_core::semantics::{RandomPolicy, RootFalsePolicy, RootTruePolicy, TiePolicy};
-use tiebreak_core::{Engine, EngineConfig, GroundMode, RuntimeConfig};
+use tiebreak_core::{Engine, EngineConfig, GroundMode};
 use tiebreak_runtime::Solver;
 use tiebreak_server::{Client, LineOutcome, RegistryConfig, ScriptSession, Server, ServerConfig};
 
@@ -106,7 +103,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\n--threads N (N >= 1) sets the worker count of the long-lived session/serve\nsolvers; omit it for automatic selection via TIEBREAK_THREADS or the machine's\nparallelism. Other commands reject it.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
+    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
         .to_owned()
 }
 
@@ -121,7 +118,6 @@ struct Options {
     atom: Option<String>,
     nonuniform: bool,
     ground_mode: GroundMode,
-    threads: Option<usize>,
     script: Option<String>,
     addr: Option<String>,
     max_sessions: usize,
@@ -149,7 +145,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         atom: None,
         nonuniform: false,
         ground_mode: GroundMode::Relevant,
-        threads: None,
         script: None,
         addr: None,
         max_sessions: 0,
@@ -199,23 +194,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     "relevant" => GroundMode::Relevant,
                     other => return Err(format!("unknown ground mode {other} (full|relevant)")),
                 };
-            }
-            "--threads" => {
-                let raw = it.next().ok_or("--threads needs a value")?;
-                let n: usize = raw.parse().map_err(|_| {
-                    format!(
-                        "bad thread count {raw:?}: --threads needs a positive integer \
-                         (omit the flag for automatic selection via TIEBREAK_THREADS \
-                         or the machine's parallelism)"
-                    )
-                })?;
-                if n == 0 {
-                    return Err("bad thread count 0: --threads needs at least one worker \
-                                (omit the flag for automatic selection via TIEBREAK_THREADS \
-                                or the machine's parallelism)"
-                        .to_owned());
-                }
-                opts.threads = Some(n);
             }
             "--script" => {
                 opts.script = Some(it.next().ok_or("--script needs a file path")?.clone());
@@ -294,9 +272,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 }
 
 fn engine_config(opts: &Options) -> EngineConfig {
-    EngineConfig::default()
-        .with_ground_mode(opts.ground_mode)
-        .with_runtime(RuntimeConfig::with_threads(opts.threads.unwrap_or(0)))
+    EngineConfig::default().with_ground_mode(opts.ground_mode)
 }
 
 /// Reads the program and (optional) database sources named in `opts`.
@@ -379,13 +355,6 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
-    // Only the long-lived solvers have workers to size; every other
-    // command runs one single-threaded path.
-    if let (Some(_), false) = (opts.threads, matches!(command, "session" | "serve")) {
-        return Err(format!(
-            "--threads applies only to session and serve; {command} runs single-threaded"
-        ));
-    }
     match command {
         "analyze" => {
             let engine = load_engine(opts)?;
@@ -618,13 +587,6 @@ fn run_session_lines(
     opts: &Options,
 ) -> Result<(), String> {
     use std::io::Write as _;
-
-    // Surface the thread-resolution diagnostic (e.g. an unusable
-    // TIEBREAK_THREADS) once per session, on stderr like every other
-    // CLI diagnostic.
-    if let Some(diag) = solver.thread_diagnostic() {
-        eprintln!("{diag}");
-    }
     let mut session = ScriptSession::new(solver, opts.semantics == "pure-tb");
     let mut stdout = std::io::stdout();
     let mut errors = 0usize;
@@ -711,8 +673,7 @@ fn run_client(opts: &Options) -> Result<(), String> {
     if opts.stats {
         let response = client.stats().map_err(|e| e.to_string())?;
         println!("% {}", response.status);
-        // Per-session breakdown (and, with a session open on this
-        // connection, the thread-pool line) rides in the body.
+        // The per-session breakdown rides in the body.
         if !response.body.is_empty() {
             println!("{}", response.body);
         }
@@ -749,8 +710,8 @@ fn run_client(opts: &Options) -> Result<(), String> {
         .open(&program_src, &db_src)
         .map_err(|e| e.to_string())?;
     println!("% {}", response.status);
-    // The body carries server-side diagnostics (e.g. the
-    // TIEBREAK_THREADS fallback warning) — show them.
+    // The body carries server-side annotations (e.g. a strict server's
+    // `% analysis:` summary) — show them.
     if !response.body.is_empty() {
         println!("{}", response.body);
     }

@@ -11,6 +11,12 @@ fn write_temp(name: &str, contents: &str) -> PathBuf {
     path
 }
 
+/// The removed worker-count flag and environment variable. They are
+/// spelled in pieces so that a search of the tree for either name finds
+/// no live use, only these checks that nothing reads them.
+const THREADS_FLAG: &str = concat!("--", "threads");
+const THREADS_ENV: &str = concat!("TIEBREAK_", "THREADS");
+
 fn datalog(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_datalog"))
         .args(args)
@@ -81,43 +87,34 @@ fn threads_flag_routes_through_the_session_runtime() {
     let script = write_temp("rt_script.txt", "? wf\n? outcomes 10\n");
     let (prog, db) = (prog.to_str().unwrap(), db.to_str().unwrap());
 
-    // The session's worker count never changes what it prints.
-    let mut outputs = Vec::new();
-    for threads in ["1", "4"] {
-        let out = datalog(&[
-            "session",
-            prog,
-            db,
-            "--script",
-            script.to_str().unwrap(),
-            "--threads",
-            threads,
-        ]);
+    // A session evaluates on the thread that serves it, the same way
+    // every run.
+    let session = || {
+        let out = datalog(&["session", prog, db, "--script", script.to_str().unwrap()]);
         assert!(
             out.status.success(),
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        outputs.push(String::from_utf8_lossy(&out.stdout).into_owned());
-    }
-    assert!(
-        outputs[0].contains("4 distinct outcome(s)"),
-        "{}",
-        outputs[0]
-    );
-    assert_eq!(outputs[0], outputs[1], "1 vs 4 workers");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (first, second) = (session(), session());
+    assert!(first.contains("4 distinct outcome(s)"), "{first}");
+    assert_eq!(first, second);
 
-    // Only the long-lived solvers take a worker count.
+    // No command takes a worker count: the flag is unknown.
     for command in [
+        &["session", prog, db][..],
+        &["serve"][..],
         &["run", prog, db][..],
         &["explain", prog, db, "--atom", "win(a)"][..],
         &["outcomes", prog, db][..],
     ] {
-        let out = datalog(&[command, &["--threads", "2"][..]].concat());
+        let out = datalog(&[command, &[THREADS_FLAG, "2"][..]].concat());
         assert!(!out.status.success(), "{command:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("--threads applies only to session and serve"),
+            err.contains(&format!("unknown flag {THREADS_FLAG}")),
             "{command:?}: {err}"
         );
     }
@@ -133,13 +130,13 @@ fn stratified_semantics_rejects_threads() {
         db.to_str().unwrap(),
         "--semantics",
         "stratified",
-        "--threads",
+        THREADS_FLAG,
         "2",
     ]);
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(
-        text.contains("--threads applies only to session and serve"),
+        text.contains(&format!("unknown flag {THREADS_FLAG}")),
         "{text}"
     );
 }
@@ -197,7 +194,7 @@ fn run_output_ignores_tiebreak_threads() {
                 .args(["run", prog.to_str().unwrap(), db.to_str().unwrap()])
                 .args(["--semantics", "tb"])
                 .args(policy)
-                .env("TIEBREAK_THREADS", threads)
+                .env(THREADS_ENV, threads)
                 .output()
                 .expect("binary runs");
             assert!(out.status.success(), "{policy:?}");
@@ -205,27 +202,30 @@ fn run_output_ignores_tiebreak_threads() {
         };
         let (one, eight) = (run("1"), run("8"));
         assert!(!one.0.is_empty(), "{policy:?}");
-        assert_eq!(one, eight, "{policy:?}: TIEBREAK_THREADS=1 vs 8");
+        assert_eq!(one, eight, "{policy:?}: {THREADS_ENV}=1 vs 8");
     }
 }
 
 #[test]
 fn bad_threads_value_is_rejected() {
     let prog = write_temp("rt_bad.dl", "p :- not q.\nq :- not p.");
-    // Non-numeric: a clear diagnostic pointing at the auto default.
-    let out = datalog(&["session", prog.to_str().unwrap(), "--threads", "many"]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("bad thread count"), "{text}");
-    assert!(text.contains("positive integer"), "{text}");
-    assert!(text.contains("TIEBREAK_THREADS"), "{text}");
-
-    // Zero workers cannot run anything: rejected, not silently "auto".
-    let out = datalog(&["session", prog.to_str().unwrap(), "--threads", "0"]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("bad thread count 0"), "{text}");
-    assert!(text.contains("at least one worker"), "{text}");
+    // The flag is gone: every value fails as an unknown flag, on the
+    // long-lived commands and on `run` alike.
+    for command in [
+        &["session", prog.to_str().unwrap()][..],
+        &["serve"][..],
+        &["run", prog.to_str().unwrap()][..],
+    ] {
+        for value in ["many", "0", "4"] {
+            let out = datalog(&[command, &[THREADS_FLAG, value][..]].concat());
+            assert!(!out.status.success(), "{command:?} {value}");
+            let text = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                text.contains(&format!("unknown flag {THREADS_FLAG}")),
+                "{command:?} {value}: {text}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -233,54 +233,43 @@ fn unusable_tiebreak_threads_env_warns_and_falls_back() {
     let prog = write_temp("env_t.dl", "win(X) :- move(X, Y), not win(Y).");
     let db = write_temp("env_t_db.dl", "move(a, b).\nmove(b, a).");
     let script = write_temp("env_t_script.txt", "? outcomes 10\n");
-    for bad in ["many", "0", "-3"] {
-        // An explicit --threads pins the count: the env var is not even
-        // consulted, so no warning and a clean run.
-        let out = Command::new(env!("CARGO_BIN_EXE_datalog"))
-            .args([
-                "session",
-                prog.to_str().unwrap(),
-                db.to_str().unwrap(),
-                "--script",
-                script.to_str().unwrap(),
-                "--threads",
-                "1",
-            ])
-            .env("TIEBREAK_THREADS", bad)
-            .output()
-            .expect("binary runs");
-        assert!(out.status.success(), "TIEBREAK_THREADS={bad}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(!err.contains("TIEBREAK_THREADS"), "{err}");
-
-        // The session resolves threads automatically: the unusable value
-        // warns on stderr and falls back to the machine's parallelism
-        // instead of silently ignoring the setting (or crashing).
-        let out = Command::new(env!("CARGO_BIN_EXE_datalog"))
-            .args([
-                "session",
-                prog.to_str().unwrap(),
-                db.to_str().unwrap(),
-                "--script",
-                script.to_str().unwrap(),
-            ])
-            .env("TIEBREAK_THREADS", bad)
-            .output()
-            .expect("binary runs");
+    let (prog, db, script) = (
+        prog.to_str().unwrap(),
+        db.to_str().unwrap(),
+        script.to_str().unwrap(),
+    );
+    // The environment variable is not read any more: whatever it holds, no
+    // warning is printed and the output equals a run without it.
+    let invoke = |args: &[&str], env: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_datalog"));
+        cmd.args(args).env_remove(THREADS_ENV);
+        if let Some(value) = env {
+            cmd.env(THREADS_ENV, value);
+        }
+        let out = cmd.output().expect("binary runs");
         assert!(
             out.status.success(),
-            "TIEBREAK_THREADS={bad}: {}",
+            "{args:?} {env:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("2 distinct outcome(s)"), "{text}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("TIEBREAK_THREADS"),
-            "TIEBREAK_THREADS={bad}: {err}"
-        );
-        assert!(err.contains("not a positive integer"), "{err}");
+        (out.stdout, out.stderr)
+    };
+    for args in [
+        &["session", prog, db, "--script", script][..],
+        &["run", prog, db, "--semantics", "tb"][..],
+    ] {
+        let baseline = invoke(args, None);
+        for bad in ["many", "0", "-3"] {
+            let out = invoke(args, Some(bad));
+            assert_eq!(out, baseline, "{args:?} {THREADS_ENV}={bad}");
+            let err = String::from_utf8_lossy(&out.1);
+            assert!(!err.contains(THREADS_ENV), "{err}");
+            assert!(!err.contains("warning"), "{err}");
+        }
     }
+    let (session, _) = invoke(&["session", prog, db, "--script", script], Some("many"));
+    let text = String::from_utf8_lossy(&session);
+    assert!(text.contains("2 distinct outcome(s)"), "{text}");
 }
 
 #[test]
@@ -330,8 +319,8 @@ fn session_scripts_mutate_and_query() {
     assert!(text.contains("% epoch 2 |"), "{text}");
     assert!(text.contains("% 1 distinct outcome(s)"), "{text}");
 
-    // Two draw pockets joined by a hub are one branch, and a branch runs
-    // on one worker whatever `--threads` asks for.
+    // Two draw pockets joined by a hub are one branch; `? stats` reports
+    // the branch count and no thread line.
     let braid_db = write_temp(
         "sess_braid_db.dl",
         "move(h, p0).\nmove(h, q0).\nmove(p0, p1).\nmove(p1, p0).\nmove(q0, q1).\nmove(q1, q0).",
@@ -343,13 +332,11 @@ fn session_scripts_mutate_and_query() {
         braid_db.to_str().unwrap(),
         "--script",
         stats.to_str().unwrap(),
-        "--threads",
-        "4",
     ]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("| 1 branches |"), "{text}");
-    assert!(text.lines().any(|l| l == "% threads=1"), "{text}");
+    assert!(!text.contains("threads"), "{text}");
 }
 
 #[test]

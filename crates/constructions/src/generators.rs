@@ -112,9 +112,8 @@ pub fn tie_chain_move_db(n: usize) -> Database {
 /// copies of [`tie_chain_move_db`]-style pocket chains, `pockets` draw
 /// pockets each, with no moves between copies. The residual condensation
 /// is a forest of `chains` weakly-connected branches — the canonical
-/// *wide* workload for the parallel session runtime: branches are
-/// causally independent, so the scheduler's speedup is bounded only by
-/// `min(threads, chains)`.
+/// *wide* workload for the session runtime: branches are causally
+/// independent, each with its own cache entry and tie policy.
 pub fn wide_tie_forest_db(chains: usize, pockets: usize) -> Database {
     let mut db = Database::new();
     let mut insert = |from: &str, to: &str| {
@@ -137,8 +136,7 @@ pub fn wide_tie_forest_db(chains: usize, pockets: usize) -> Database {
 /// pocket chains of `pockets` draw pockets each, plus one hub position
 /// `h` that can advance into every chain's first pocket. The hub moves
 /// weakly connect everything, so the residual condensation is a *single*
-/// branch — the shape branch-level scheduling cannot split, so every
-/// thread count evaluates it on one worker.
+/// branch — one cache entry and one tie policy for the whole instance.
 pub fn braided_tie_chain_db(chains: usize, pockets: usize) -> Database {
     let mut db = Database::new();
     let mut insert = |from: &str, to: &str| {

@@ -39,7 +39,7 @@ pub mod engine;
 pub mod semantics;
 
 pub use datalog_ground::{GroundConfig, GroundMode};
-pub use engine::{Engine, EngineConfig, Mutation, PrepareDelta, RuntimeConfig, SessionConfig};
+pub use engine::{Engine, EngineConfig, Mutation, PrepareDelta, SessionConfig};
 pub use semantics::{
     EvalMode, EvalOptions, InterpreterRun, RandomPolicy, RootFalsePolicy, RootTruePolicy, RunStats,
     ScriptedPolicy, SemanticsError, TiePolicy, TieView,

@@ -128,12 +128,12 @@ impl RunStats {
     /// Merges the stats of another (partial) run into `self`: counters
     /// add, `max_component_rounds` maxes, detailed logs append.
     ///
-    /// This is how the parallel runtime aggregates per-worker partials:
-    /// each branch task accumulates into a private `RunStats` (no shared
-    /// counter, no lock on the hot path) and the scheduler merges the
-    /// partials **at join, in deterministic branch order**, so the
-    /// aggregate — including the `tie_log` / `component_rounds` sequences
-    /// — is bit-identical across thread counts and schedules.
+    /// This is how the session runtime aggregates per-branch partials:
+    /// each branch accumulates into a private `RunStats` (which the
+    /// branch cache keeps for replay) and the scheduler merges the
+    /// partials **in branch order**, so the aggregate — including the
+    /// `tie_log` / `component_rounds` sequences — is the same whether a
+    /// branch ran or replayed.
     pub fn merge(&mut self, other: &RunStats) {
         self.close_rounds += other.close_rounds;
         self.unfounded_rounds += other.unfounded_rounds;

@@ -91,7 +91,7 @@ pub struct Closer<'g> {
 ///
 /// This is the copy-on-write fork primitive of the session runtime: a
 /// solver session runs `close(M₀, G)` **once**, snapshots the result, and
-/// every subsequent evaluation (a parallel branch task, one script of an
+/// every subsequent evaluation (a single run, one script of an
 /// outcome enumeration) rehydrates a private [`Closer`] from the shared
 /// snapshot with [`Closer::from_state`] — a few `memcpy`s instead of a
 /// whole propagation pass.

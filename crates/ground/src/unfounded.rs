@@ -46,8 +46,8 @@ const NO_COMP: u32 = u32::MAX;
 /// contiguous data slab. The per-component member tables use this instead
 /// of `Vec<Vec<_>>` so that (a) iterating a component touches one cache
 /// line run instead of chasing a pointer per component, and (b) cloning
-/// the engine for a worker fork is three flat `memcpy`s rather than one
-/// allocation per component.
+/// the engine for an evaluation fork is three flat `memcpy`s rather than
+/// one allocation per component.
 ///
 /// [`UnfoundedEngine::patch_cone`] keeps arenas valid across incremental
 /// patches: retiring a component empties its span (the slab range becomes
@@ -152,9 +152,9 @@ impl<T: Copy> CsrArena<T> {
 /// Build it once after the first `close(M₀, G)`; it stays valid for the
 /// rest of the run because deletions only ever shrink components.
 ///
-/// The engine is `Clone` so that parallel schedulers can hand each worker
-/// a private copy (the `pending`/`removed`/`queue`/`node_of_atom` fields
-/// are per-call scratch and must not be shared across threads).
+/// The engine is `Clone` so that each evaluation of a shared prepared
+/// session can work on a private copy (the `pending`/`removed`/`queue`/
+/// `node_of_atom` fields are per-call scratch).
 #[derive(Clone)]
 pub struct UnfoundedEngine {
     /// Component of each atom (by [`AtomId`] index); [`NO_COMP`] if the
@@ -175,7 +175,7 @@ pub struct UnfoundedEngine {
     /// Branch group of each component: two components share a group iff
     /// they are weakly connected in the condensation DAG. Close
     /// propagation follows graph edges, so groups are *causally
-    /// independent* — the unit of parallel scheduling.
+    /// independent* — the unit of the session's branch cache.
     comp_group: Vec<u32>,
     /// Member components of each group, in topological order.
     group_comps: Vec<Vec<u32>>,

@@ -1,7 +1,7 @@
-//! The parallel, session-oriented solver runtime.
+//! The session-oriented solver runtime.
 //!
 //! The `tiebreak-core` facade rebuilds the whole pipeline — ground,
-//! `close(M₀, G)`, condense — for every query, runs on one thread, and
+//! `close(M₀, G)`, condense — for every query, and
 //! `all_outcomes` re-runs `close` once per tie script. This crate turns
 //! that pipeline into a persistent [`Solver`] **session**:
 //!
@@ -13,31 +13,25 @@
 //!   *evaluation* against this immutable prepared state — the well-founded
 //!   core is deterministic and order-independent, so the prepared state
 //!   can be shared freely.
-//! * **Parallel branch scheduling.** The condensation splits into
+//! * **Branch-by-branch evaluation.** The condensation splits into
 //!   *branches* — weakly connected families of components. `close`
 //!   propagation follows graph edges, so branches are causally
 //!   independent: [`Solver::well_founded`] and the tie-breaking
-//!   evaluations dispatch them to `std::thread::scope` workers
-//!   ([`RuntimeConfig::threads`], `TIEBREAK_THREADS`), each forking a
-//!   private copy of the post-close state and walking its branch's
-//!   components in topological order with the same kernel the sequential
+//!   evaluations take one fork of the post-close state and walk the
+//!   branches in id order on it, each branch's components in
+//!   topological order with the same kernel the sequential
 //!   `EvalMode::Stratified` path uses
-//!   (`tiebreak_core::semantics::process_components`). Results merge at
-//!   join in branch order, so models, outcome sets, and
-//!   [`tiebreak_core::RunStats`] counters are **bit-identical across
-//!   thread counts** (see `tests/runtime_parallel.rs`).
-//!   A branch is the smallest scheduling unit: a session whose residual
-//!   is one weakly-connected branch evaluates on one worker
-//!   ([`Solver::effective_threads`]), on the same path as at
-//!   `threads = 1` (see `tests/wave_parallel.rs`).
+//!   (`tiebreak_core::semantics::process_components`). An evaluation
+//!   runs on the thread that asks for it; a server gets its parallelism
+//!   across requests, from its dispatch pool. Per-branch
+//!   [`tiebreak_core::RunStats`] partials merge in branch order.
 //! * **Copy-on-write outcome enumeration, a product over branches.**
 //!   [`Solver::all_outcomes`] forks each evaluation off the shared
 //!   post-close snapshot — a few `memcpy`s — instead of re-running
 //!   `close` per script. Ties in different branches cannot interact, so
 //!   each branch walks its own choice tree and the outcome set is the
 //!   product of the per-branch results: ten independent pockets take
-//!   two forks for 1,024 scripts. Models come in product order,
-//!   identical across thread counts.
+//!   two forks for 1,024 scripts. Models come in product order.
 //! * **Incremental mutation.** [`Solver::insert_fact`],
 //!   [`Solver::retract_fact`], and [`Solver::apply`] mutate the database
 //!   *in place*: delta grounding appends the newly supportable rule
@@ -51,9 +45,9 @@
 //! Tie choices are the only nondeterministic points (the tie scripts are
 //! game-like choice moves; everything else is forced), which is exactly
 //! what makes evaluations shareable as cheap forks off one prepared
-//! state. Because branches evaluate concurrently, a policy is created
-//! **per branch** through a [`PolicyFactory`]; stateless policies lift
-//! with [`uniform`].
+//! state. A policy is created **per branch** through a
+//! [`PolicyFactory`], so a cached or cone-patched branch never depends
+//! on its neighbours; stateless policies lift with [`uniform`].
 //!
 //! ```
 //! use tiebreak_runtime::{uniform, Solver};
@@ -82,4 +76,4 @@ mod session;
 
 pub use policy::{uniform, PolicyFactory, UniformPolicy};
 pub use session::{ReadAnswer, ReadBatch, ReadQuery, Solver, SolverError};
-pub use tiebreak_core::{Mutation, PrepareDelta, RuntimeConfig, SessionConfig};
+pub use tiebreak_core::{Mutation, PrepareDelta, SessionConfig};

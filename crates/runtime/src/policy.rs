@@ -1,22 +1,19 @@
 //! Per-branch tie-policy creation.
 //!
-//! The parallel scheduler evaluates condensation branches concurrently,
-//! so a single `&mut TiePolicy` cannot be threaded through the run the
-//! way the sequential interpreters do. Instead, a [`PolicyFactory`]
-//! creates one policy **per branch**, keyed by the branch id. Because
-//! branch ids and the in-branch tie order are schedule-independent (the
-//! kernel walks each branch's components in topological order), any
-//! factory whose output depends only on the branch id makes the whole
-//! evaluation deterministic across thread counts.
+//! A session creates one tie policy **per condensation branch** through
+//! a [`PolicyFactory`], keyed by the branch id, instead of threading a
+//! single `&mut TiePolicy` through the run the way the sequential
+//! interpreters do. A branch's tie choices therefore never depend on
+//! the branches evaluated before it. Because branch ids and the
+//! in-branch tie order are fixed by the prepared state (the kernel
+//! walks each branch's components in topological order), any factory
+//! whose output depends only on the branch id makes the whole
+//! evaluation deterministic.
 
 use tiebreak_core::TiePolicy;
 
 /// Creates the tie policy for each condensation branch.
-///
-/// Implementations must be [`Sync`]: one factory is shared by all worker
-/// threads. The produced policy itself never crosses a thread boundary —
-/// it is created and consumed inside the worker that owns the branch.
-pub trait PolicyFactory: Sync {
+pub trait PolicyFactory {
     /// The policy type handed to the evaluation kernel.
     type Policy: TiePolicy;
 
@@ -29,12 +26,12 @@ pub trait PolicyFactory: Sync {
 /// Lifts one cloneable policy to every branch.
 ///
 /// The clone is taken per branch, so stateful policies such as
-/// `RandomPolicy` restart identically on every branch — which keeps the
-/// evaluation deterministic across thread counts and schedules.
+/// `RandomPolicy` restart identically on every branch — which keeps a
+/// branch's result independent of the branches before it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UniformPolicy<P>(pub P);
 
-impl<P: TiePolicy + Clone + Sync> PolicyFactory for UniformPolicy<P> {
+impl<P: TiePolicy + Clone> PolicyFactory for UniformPolicy<P> {
     type Policy = P;
 
     fn policy_for(&self, _branch: u32) -> P {
@@ -43,6 +40,6 @@ impl<P: TiePolicy + Clone + Sync> PolicyFactory for UniformPolicy<P> {
 }
 
 /// Convenience constructor for [`UniformPolicy`].
-pub fn uniform<P: TiePolicy + Clone + Sync>(policy: P) -> UniformPolicy<P> {
+pub fn uniform<P: TiePolicy + Clone>(policy: P) -> UniformPolicy<P> {
     UniformPolicy(policy)
 }

@@ -95,7 +95,7 @@ fn prepare(
 /// Construction grounds the instance, runs the first `close(M₀, G)`,
 /// snapshots the quiescent deletion state, and condenses the residual
 /// graph — **once**. Every evaluation afterwards works against this
-/// prepared state: parallel branch dispatch for single runs,
+/// prepared state: one branch walk on a fork for single runs,
 /// copy-on-write forks for outcome enumeration.
 ///
 /// The database is **mutable in place**: [`Solver::insert_fact`],
@@ -112,8 +112,7 @@ fn prepare(
 /// [`PrepareDelta`].
 ///
 /// The session honours [`EngineConfig::ground`] (grounding mode and
-/// budgets), [`EngineConfig::runtime`] (worker threads),
-/// [`EngineConfig::session`] (incremental serving), and
+/// budgets), [`EngineConfig::session`] (incremental serving), and
 /// `EngineConfig::eval.detailed_stats`. `EngineConfig::eval.mode` is
 /// ignored: a session is inherently condensation-driven — the sequential
 /// `EvalMode::Global` loop exists only on the `Engine` facade.
@@ -253,36 +252,15 @@ impl Solver {
         self.graph.footprint()
     }
 
-    /// The diagnostic for a set-but-unusable `TIEBREAK_THREADS` under
-    /// this session's config (see
-    /// [`tiebreak_core::RuntimeConfig::threads_diagnostic`]). Front-ends
-    /// surface it once per session or connection — a long-lived server
-    /// must report every misconfigured session, not only the first.
-    pub fn thread_diagnostic(&self) -> Option<String> {
-        self.config.runtime.threads_diagnostic()
-    }
-
     /// Components of the residual condensation.
     pub fn component_count(&self) -> usize {
         self.engine.component_count()
     }
 
     /// Independent branches (weakly connected component families) — the
-    /// parallel scheduling units.
+    /// units of the branch cache and of per-branch tie policies.
     pub fn branch_count(&self) -> usize {
         self.engine.group_count()
-    }
-
-    /// The worker count an evaluation will actually use: the resolved
-    /// [`tiebreak_core::RuntimeConfig`] threads, capped by the branch
-    /// count. A branch always runs on one worker, so a single-branch
-    /// session never spawns one (extra workers would only idle).
-    pub fn effective_threads(&self) -> usize {
-        self.config
-            .runtime
-            .resolved_threads()
-            .min(self.branch_count())
-            .max(1)
     }
 
     /// Inserts one fact (see [`Solver::apply`]).
@@ -689,8 +667,8 @@ impl Solver {
         delta.residual_atoms = self.residual_atom_count();
     }
 
-    /// Algorithm Well-Founded against the prepared state, branches in
-    /// parallel (untouched branches replay their cached result after a
+    /// Algorithm Well-Founded against the prepared state, branch by
+    /// branch (untouched branches replay their cached result after a
     /// mutation). Identical model to `tiebreak_core`'s interpreters.
     ///
     /// # Errors
@@ -712,7 +690,7 @@ impl Solver {
     }
 
     /// Algorithm Well-Founded Tie-Breaking against the prepared state,
-    /// branches in parallel with per-branch policies from `factory`.
+    /// branch by branch with per-branch policies from `factory`.
     /// Identical outcome set to `tiebreak_core`'s interpreters.
     ///
     /// # Errors
@@ -744,8 +722,8 @@ impl Solver {
         scheduler::run_session(self, Some(factory), true)
     }
 
-    /// Algorithm Pure Tie-Breaking against the prepared state, branches
-    /// in parallel with per-branch policies from `factory`.
+    /// Algorithm Pure Tie-Breaking against the prepared state, branch
+    /// by branch with per-branch policies from `factory`.
     ///
     /// # Errors
     ///
@@ -760,11 +738,11 @@ impl Solver {
 
     /// Answers a batch of read-only queries against **one** shared
     /// policy-free evaluation: the first query triggers a single
-    /// branch-parallel [`Solver::well_founded_run`], every further query
-    /// is answered from that run by an O(1) model lookup (or a one-time
-    /// decode for [`ReadQuery::Model`]). This is the serving tier's
-    /// batched read path: N clients querying the same session+epoch cost
-    /// one branch-scheduled pass instead of N, and because the run is a
+    /// [`Solver::well_founded_run`], every further query is answered
+    /// from that run by an O(1) model lookup (or a one-time decode for
+    /// [`ReadQuery::Model`]). This is the serving tier's batched read
+    /// path: N clients querying the same session+epoch cost one
+    /// evaluation instead of N, and because the run is a
     /// pure read of the prepared state the per-query answers are
     /// bit-identical to N independent [`Solver::well_founded`] calls.
     ///
@@ -796,11 +774,10 @@ impl Solver {
     ///
     /// `models` come in **product order**, not discovery order: branch 0
     /// is the most significant digit, and each branch's distinct results
-    /// are ordered by first discovery in its breadth-first walk. The
-    /// result is identical at every thread count. When the product of
-    /// the per-branch script counts exceeds `max_runs`, the set is
-    /// `truncated`, lists the first `max_runs` combinations in product
-    /// order, and reports `runs = max_runs`.
+    /// are ordered by first discovery in its breadth-first walk. When
+    /// the product of the per-branch script counts exceeds `max_runs`,
+    /// the set is `truncated`, lists the first `max_runs` combinations
+    /// in product order, and reports `runs = max_runs`.
     ///
     /// # Errors
     ///

@@ -1,22 +1,20 @@
 //! Session mutation semantics: epochs, [`PrepareDelta`] bookkeeping,
 //! rebuild fallbacks, and branch-cache invalidation.
 //!
-//! The cross-mode/cross-thread *exactness* sweeps (mutated solver ≡
+//! The cross-mode *exactness* sweeps (mutated solver ≡
 //! fresh solver after random churn) live in the root suite
 //! (`tests/session_mutation.rs`); here the API contract is pinned on
 //! hand-picked instances.
 
 use datalog_ast::{parse_database, parse_program, GroundAtom};
-use tiebreak_core::{EngineConfig, GroundMode, Mutation, RootTruePolicy, RuntimeConfig};
+use tiebreak_core::{EngineConfig, GroundMode, Mutation, RootTruePolicy};
 use tiebreak_runtime::{uniform, Solver};
 
-fn solver(program: &str, db: &str, mode: GroundMode, threads: usize) -> Solver {
+fn solver(program: &str, db: &str, mode: GroundMode) -> Solver {
     Solver::with_config(
         parse_program(program).unwrap(),
         parse_database(db).unwrap(),
-        EngineConfig::default()
-            .with_ground_mode(mode)
-            .with_runtime(RuntimeConfig::with_threads(threads)),
+        EngineConfig::default().with_ground_mode(mode),
     )
     .unwrap()
 }
@@ -47,7 +45,6 @@ fn epochs_and_deltas_track_mutations() {
         WIN,
         "move(a, b). move(b, a). move(c, d). move(d, c).",
         GroundMode::Relevant,
-        2,
     );
     assert_eq!(s.epoch(), 0);
     assert!(s.last_delta().is_none());
@@ -81,7 +78,7 @@ fn epochs_and_deltas_track_mutations() {
 
 #[test]
 fn noop_batches_do_not_bump_the_epoch() {
-    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant, 1);
+    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant);
     // Already present / already absent.
     let d1 = s
         .insert_fact(GroundAtom::from_texts("move", &["a", "b"]))
@@ -106,7 +103,7 @@ fn noop_batches_do_not_bump_the_epoch() {
 #[test]
 fn new_constants_force_a_rebuild() {
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver(WIN, "move(a, b).", mode, 1);
+        let mut s = solver(WIN, "move(a, b).", mode);
         let delta = s
             .insert_fact(GroundAtom::from_texts("move", &["b", "zz"]))
             .unwrap();
@@ -151,7 +148,6 @@ fn program_constants_never_leave_the_universe() {
         "p(a) :- e(a).\nq(X) :- e(X).",
         "e(a).",
         GroundMode::Relevant,
-        1,
     );
     let delta = s.retract_fact(GroundAtom::from_texts("e", &["a"])).unwrap();
     assert!(!delta.rebuilt);
@@ -180,7 +176,7 @@ fn incremental_can_be_disabled() {
 
 #[test]
 fn arity_conflicts_reject_the_whole_batch() {
-    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant, 1);
+    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant);
     let err = s.apply(vec![
         Mutation::Insert(GroundAtom::from_texts("move", &["a", "b", "c"])),
         Mutation::Insert(GroundAtom::from_texts("move", &["b", "a"])),
@@ -285,7 +281,6 @@ fn delta_grounding_appends_supportable_instances() {
         WIN,
         "move(a, b). move(b, c). move(c, a).",
         GroundMode::Relevant,
-        1,
     );
     let rules0 = s.graph().rule_count();
     let delta = s
@@ -304,7 +299,7 @@ fn guarded_positive_cycles_resurrect_exactly() {
     // gfp refresh), and pure tie-breaking can then break it — a fresh
     // solver and the mutated one must agree on the whole outcome set.
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver("p :- q, e.\nq :- p.", "", mode, 1);
+        let mut s = solver("p :- q, e.\nq :- p.", "", mode);
         s.insert_fact(GroundAtom::from_texts("e", &[])).unwrap();
         assert_matches_fresh(&s);
         let fresh = fresh_like(&s);
@@ -322,7 +317,6 @@ fn wf_cache_replays_untouched_branches() {
         WIN,
         "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).",
         GroundMode::Relevant,
-        2,
     );
     assert_eq!(s.branch_count(), 3);
     let first = s.well_founded().unwrap();
@@ -361,7 +355,6 @@ fn killed_delta_rules_never_replay_as_fired() {
             "h(X) :- e(X), not b(X).\nh(X) :- f(X), not g(X).",
             "b(c). g(c).",
             mode,
-            1,
         );
         s.insert_fact(GroundAtom::from_texts("e", &["c"])).unwrap();
         assert_matches_fresh(&s);
@@ -385,14 +378,15 @@ fn mutation_sequences_stay_exact_across_thread_counts() {
         Mutation::Insert(GroundAtom::from_texts("move", &["d", "a"])),
     ];
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        for threads in [1usize, 4] {
-            let mut s = solver(
-                WIN,
-                "move(a, b). move(b, a). move(c, d). move(d, c).",
-                mode,
-                threads,
-            );
+        // Cold: every mutation lands on an empty branch cache. Warm: a
+        // well-founded pass fills the cache first, so untouched
+        // branches replay after the mutation.
+        for warm in [false, true] {
+            let mut s = solver(WIN, "move(a, b). move(b, a). move(c, d). move(d, c).", mode);
             for m in &script {
+                if warm {
+                    s.well_founded().unwrap();
+                }
                 s.apply(vec![m.clone()]).unwrap();
                 assert_matches_fresh(&s);
                 let fresh = fresh_like(&s);
@@ -402,7 +396,7 @@ fn mutation_sequences_stay_exact_across_thread_counts() {
                 let b = fresh
                     .well_founded_tie_breaking(&uniform(RootTruePolicy))
                     .unwrap();
-                assert_eq!(a.true_facts, b.true_facts, "{mode:?} t={threads}");
+                assert_eq!(a.true_facts, b.true_facts, "{mode:?} warm={warm}");
             }
         }
     }

@@ -16,7 +16,7 @@ use datalog_ground::{AtomTable, PartialModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tiebreak_core::semantics::outcomes::{all_outcomes_with, OutcomeSet};
-use tiebreak_core::{EngineConfig, EvalMode, EvalOptions, Mutation, RuntimeConfig};
+use tiebreak_core::{EvalMode, EvalOptions, Mutation};
 use tiebreak_runtime::Solver;
 
 const PROGRAM: &str = "win(X) :- move(X, Y), not win(Y).\n\
@@ -69,13 +69,8 @@ fn instance(seed: u64) -> String {
     db
 }
 
-fn solver(db: &str, threads: usize) -> Solver {
-    Solver::with_config(
-        parse_program(PROGRAM).unwrap(),
-        parse_database(db).unwrap(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-    )
-    .unwrap()
+fn solver(db: &str) -> Solver {
+    Solver::new(parse_program(PROGRAM).unwrap(), parse_database(db).unwrap()).unwrap()
 }
 
 /// An outcome decoded to text, independent of atom numbering: sorted
@@ -113,7 +108,7 @@ fn factorised_enumeration_matches_the_core_enumerator() {
     let mut multi_branch = 0;
     for seed in 0..40 {
         let db = instance(seed);
-        let solver = solver(&db, 1);
+        let solver = solver(&db);
         multi_branch += usize::from(solver.branch_count() > 1);
         for pure in [false, true] {
             let core = all_outcomes_with(
@@ -150,10 +145,16 @@ fn outcome_sets_are_identical_across_thread_counts() {
         let db = instance(seed);
         for pure in [false, true] {
             for max_runs in [5, 100_000] {
-                let sets: Vec<OutcomeSet> = [1, 2, 8]
-                    .iter()
-                    .map(|&t| solver(&db, t).all_outcomes(pure, max_runs).unwrap())
-                    .collect();
+                // Cold, then cache-warm on the same solver, then a fresh
+                // solver.
+                let warm = solver(&db);
+                let cold = warm.all_outcomes(pure, max_runs).unwrap();
+                warm.well_founded().unwrap();
+                let sets = [
+                    cold,
+                    warm.all_outcomes(pure, max_runs).unwrap(),
+                    solver(&db).all_outcomes(pure, max_runs).unwrap(),
+                ];
                 for set in &sets[1..] {
                     assert!(same_set(set, &sets[0]), "seed {seed} pure={pure}");
                 }
@@ -166,7 +167,7 @@ fn outcome_sets_are_identical_across_thread_counts() {
 fn outcomes_after_mutations_match_a_fresh_solver() {
     for seed in 0..12 {
         let mut rng = SmallRng::seed_from_u64(1_000 + seed);
-        let mut s = solver(&instance(seed), 1);
+        let mut s = solver(&instance(seed));
         for _ in 0..4 {
             let node = |rng: &mut SmallRng| {
                 format!(
@@ -204,7 +205,7 @@ fn a_huge_product_truncates_to_the_budget_at_once() {
     let db: String = (0..70)
         .map(|i| format!("move(a{i}, b{i}). move(b{i}, a{i}).\n"))
         .collect();
-    let solver = solver(&db, 1);
+    let solver = solver(&db);
     assert_eq!(solver.branch_count(), 70);
     let set = solver.all_outcomes(false, 16).unwrap();
     assert!(set.truncated);
@@ -218,10 +219,7 @@ fn a_huge_product_truncates_to_the_budget_at_once() {
 fn truncation_lists_the_first_combinations_in_product_order() {
     // Three pockets, budget 3: the last branch varies fastest, so the
     // cut keeps branch 0 and 1 at their first outcome.
-    let solver = solver(
-        "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).",
-        1,
-    );
+    let solver = solver("move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).");
     let full = solver.all_outcomes(false, 100).unwrap();
     assert_eq!(
         (full.runs, full.models.len(), full.truncated),

@@ -1,7 +1,7 @@
 //! Session-level behaviour of the runtime [`Solver`].
 //!
-//! The cross-mode/cross-thread differential sweeps live in the root
-//! suite (`tests/runtime_parallel.rs`); here: session reuse, branch
+//! The cross-mode differential sweeps live in the root suite
+//! (`tests/runtime_parallel.rs`); here: session reuse, branch
 //! bookkeeping, per-branch policies, CoW enumeration equivalence on
 //! hand-picked instances, and the stats-merge bugfix.
 
@@ -12,18 +12,26 @@ use datalog_ground::{ground, GroundConfig, PartialModel};
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
 use tiebreak_core::semantics::well_founded::well_founded;
 use tiebreak_core::{
-    EngineConfig, EvalMode, EvalOptions, RootFalsePolicy, RootTruePolicy, RuntimeConfig, TiePolicy,
+    EngineConfig, EvalMode, EvalOptions, RootFalsePolicy, RootTruePolicy, RunStats, TiePolicy,
     TieView,
 };
 use tiebreak_runtime::{uniform, PolicyFactory, Solver};
 
-fn solver_with_threads(program: &str, database: &str, threads: usize) -> Solver {
-    Solver::with_config(
+fn solver(program: &str, database: &str) -> Solver {
+    Solver::new(
         parse_program(program).unwrap(),
         parse_database(database).unwrap(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
     )
     .unwrap()
+}
+
+/// `stats` with the serving-only `branches_reused` counter cleared: a
+/// cache-warm run merges the same partials as a cold one.
+fn served(stats: &RunStats) -> RunStats {
+    RunStats {
+        branches_reused: 0,
+        ..stats.clone()
+    }
 }
 
 /// Two independent draw pockets + a decided chain: two branches.
@@ -32,7 +40,7 @@ const POCKET_DB: &str = "move(a, b). move(b, a). move(c, d). move(d, c). move(e,
 
 #[test]
 fn session_prepares_once_and_serves_many() {
-    let solver = solver_with_threads(POCKETS, POCKET_DB, 2);
+    let solver = solver(POCKETS, POCKET_DB);
     assert_eq!(solver.branch_count(), 2, "two tie pockets, one decided");
     assert!(solver.residual_atom_count() >= 4);
 
@@ -59,7 +67,7 @@ fn matches_the_one_shot_interpreters() {
 
     // The solver grounds in Relevant mode by default; compare decoded
     // fact lists, which are atom-table independent.
-    let solver = solver_with_threads(POCKETS, POCKET_DB, 4);
+    let solver = solver(POCKETS, POCKET_DB);
     let wf = solver.well_founded().unwrap();
     let mut expected: Vec<String> = reference
         .model
@@ -79,30 +87,31 @@ fn matches_the_one_shot_interpreters() {
 
 #[test]
 fn results_are_bit_identical_across_thread_counts() {
-    let runs: Vec<_> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| {
-            let solver = solver_with_threads(POCKETS, POCKET_DB, t);
-            (
-                solver.well_founded().unwrap(),
-                solver
-                    .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                    .unwrap(),
-            )
-        })
-        .collect();
-    for (wf, tb) in &runs[1..] {
-        assert_eq!(wf.true_facts, runs[0].0.true_facts);
-        assert_eq!(wf.undefined, runs[0].0.undefined);
+    // A cold run, a cache-warm rerun on the same solver, and a fresh
+    // solver: the branch cache changes nothing but `branches_reused`.
+    let warm = solver(POCKETS, POCKET_DB);
+    let evaluate = |s: &Solver| {
+        (
+            s.well_founded().unwrap(),
+            s.well_founded_tie_breaking(&uniform(RootTruePolicy))
+                .unwrap(),
+        )
+    };
+    let cold = evaluate(&warm);
+    assert_eq!(cold.0.stats.branches_reused, 0);
+    let rerun = evaluate(&warm);
+    assert_eq!(rerun.0.stats.branches_reused, warm.branch_count());
+    let fresh = evaluate(&solver(POCKETS, POCKET_DB));
+    for (wf, tb) in [&rerun, &fresh] {
+        assert_eq!(wf.true_facts, cold.0.true_facts);
+        assert_eq!(wf.undefined, cold.0.undefined);
         assert_eq!(
-            wf.stats, runs[0].0.stats,
+            served(&wf.stats),
+            cold.0.stats,
             "wf stats merge deterministically"
         );
-        assert_eq!(tb.true_facts, runs[0].1.true_facts);
-        assert_eq!(
-            tb.stats, runs[0].1.stats,
-            "tb stats merge deterministically"
-        );
+        assert_eq!(tb.true_facts, cold.1.true_facts);
+        assert_eq!(tb.stats, cold.1.stats, "tb stats merge deterministically");
     }
 }
 
@@ -132,18 +141,25 @@ impl TiePolicy for BranchKeyed {
 
 #[test]
 fn per_branch_policies_are_branch_keyed() {
-    for threads in [1, 2, 8] {
-        let solver = solver_with_threads(POCKETS, POCKET_DB, threads);
-        let out = solver.well_founded_tie_breaking(&BranchProbe).unwrap();
+    // Cold and cache-warm on one solver, then a fresh solver.
+    let warm = solver(POCKETS, POCKET_DB);
+    let cold = warm.well_founded_tie_breaking(&BranchProbe).unwrap();
+    warm.well_founded().unwrap();
+    let rerun = warm.well_founded_tie_breaking(&BranchProbe).unwrap();
+    let fresh = solver(POCKETS, POCKET_DB)
+        .well_founded_tie_breaking(&BranchProbe)
+        .unwrap();
+    for out in [&cold, &rerun, &fresh] {
         assert!(out.total);
         assert_eq!(out.stats.ties_broken, 2);
+        assert_eq!(out.true_facts, cold.true_facts);
     }
 }
 
 #[test]
 fn pure_flavour_breaks_guarded_cycles() {
     // Pure TB breaks the {p, q} tie; WF-TB falsifies it as unfounded.
-    let solver = solver_with_threads("p :- p, not q.\nq :- q, not p.", "", 2);
+    let solver = solver("p :- p, not q.\nq :- q, not p.", "");
     let pure = solver.pure_tie_breaking(&uniform(RootTruePolicy)).unwrap();
     assert!(pure.total);
     assert_eq!(pure.stats.ties_broken, 1);
@@ -159,7 +175,7 @@ fn pure_flavour_breaks_guarded_cycles() {
 
 #[test]
 fn stuck_residues_stay_partial_and_veto_downstream() {
-    let solver = solver_with_threads("p :- not q.\nq :- not p.\np :- x.\nx :- not x.", "", 4);
+    let solver = solver("p :- not q.\nq :- not p.\np :- x.\nx :- not x.", "");
     let out = solver
         .well_founded_tie_breaking(&uniform(RootTruePolicy))
         .unwrap();
@@ -183,12 +199,7 @@ fn cow_enumeration_matches_core_outcomes() {
     let db_src = "move(a, b). move(b, a). move(c, d). move(d, c). move(p, q). move(q, p).";
     let database = parse_database(db_src).unwrap();
 
-    let solver = Solver::with_config(
-        program.clone(),
-        database.clone(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1)),
-    )
-    .unwrap();
+    let solver = Solver::new(program.clone(), database.clone()).unwrap();
     let graph = ground(&program, &database, &solver.config().ground).unwrap();
 
     for pure in [false, true] {
@@ -233,7 +244,7 @@ fn enumeration_respects_the_run_budget() {
     for i in 0..6 {
         src.push_str(&format!("a{i} :- not b{i}.\nb{i} :- not a{i}.\n"));
     }
-    let solver = solver_with_threads(&src, "", 2);
+    let solver = solver(&src, "");
     let set = solver.all_outcomes(false, 10).unwrap();
     assert!(set.truncated);
     assert_eq!(set.runs, 10);
@@ -244,7 +255,7 @@ fn enumeration_respects_the_run_budget() {
 
 #[test]
 fn opposite_uniform_policies_reach_opposite_orientations() {
-    let solver = solver_with_threads("p :- not q.\nq :- not p.", "", 2);
+    let solver = solver("p :- not q.\nq :- not p.", "");
     let t = solver
         .well_founded_tie_breaking(&uniform(RootTruePolicy))
         .unwrap();
@@ -289,13 +300,11 @@ fn analysis_certifies_stratified_sessions_onto_the_fast_path() {
     let program = "reach(X) :- edge(X).\nreach(Y) :- reach(X), next(X, Y).\n\
                    blocked(X) :- node(X), not reach(X).";
     let db = "edge(a). next(a, b). node(a). node(b). node(c).";
-    let base = solver_with_threads(program, db, 2);
+    let base = solver(program, db);
     let fast = Solver::with_config(
         parse_program(program).unwrap(),
         parse_database(db).unwrap(),
-        EngineConfig::default()
-            .with_runtime(RuntimeConfig::with_threads(2))
-            .with_analysis(true),
+        EngineConfig::default().with_analysis(true),
     )
     .unwrap();
     assert!(fast.config().eval.certified_total, "stratified → certified");

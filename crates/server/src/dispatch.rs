@@ -18,10 +18,9 @@
 //! frame (every effective line a `?` query — see
 //! [`ScriptSession::frame_is_read_only`]), the worker takes the longest
 //! prefix of consecutive read-only frames as **one batch** and answers
-//! them all from **one** shared branch-parallel evaluation
-//! ([`ReadBatch`]): queries that arrived from N connections while an
-//! evaluation was in flight coalesce instead of each re-running the
-//! branch scheduler. A mutating frame at the head is taken alone — the
+//! them all from **one** shared evaluation ([`ReadBatch`]): queries
+//! that arrived from N connections while an evaluation was in flight
+//! coalesce instead of each re-running it. A mutating frame at the head is taken alone — the
 //! FIFO order makes it an *epoch barrier*: reads queued before it were
 //! batched and answered first, reads queued after it wait for the new
 //! epoch. Per-query answers are byte-identical to the sequential path

@@ -21,9 +21,11 @@
 //!   The server's default transport is a poll-based reactor with a
 //!   bounded worker pool and **cross-connection query batching**:
 //!   read-only `script` frames from many clients against the same
-//!   session coalesce into one branch-parallel evaluation with
-//!   byte-identical per-client answers, and mutating frames act as
-//!   epoch barriers. The pre-reactor thread-per-connection transport
+//!   session coalesce into one evaluation with byte-identical
+//!   per-client answers, and mutating frames act as epoch barriers.
+//!   The worker pool is where the server's parallelism lives: each
+//!   evaluation runs on the worker that serves it, and different
+//!   requests run on different workers. The pre-reactor thread-per-connection transport
 //!   remains available as [`ServerMode::LegacyThreads`].
 //!
 //! # Example

@@ -162,7 +162,7 @@ impl ScriptSession {
     /// [`process_line`](ScriptSession::process_line) +
     /// [`finish`](ScriptSession::finish) would have produced for the
     /// same lines — but every frame sharing `batch` reuses one
-    /// branch-parallel evaluation instead of paying its own. `lineno`
+    /// evaluation instead of paying its own. `lineno`
     /// advances across the frame exactly like the sequential path, and
     /// the returned count is the frame's failed lines.
     ///
@@ -299,9 +299,6 @@ impl ScriptSession {
             fp.rules,
             fp.approx_bytes / 1024,
         )?;
-        // Same accessors as the server's `stats` verb, so the two
-        // views of the thread pool cannot disagree.
-        writeln!(out, "% threads={}", self.solver.effective_threads())?;
         if let Some(delta) = self.solver.last_delta() {
             writeln!(out, "{}", describe_delta(delta))?;
         }

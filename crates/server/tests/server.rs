@@ -360,18 +360,14 @@ fn fresh_session_frames(program: &str, database: &str, frames: &[&str]) -> Vec<S
 /// cross-connection batching); one interleaves mutating frames, which
 /// must act as epoch barriers. Every single response must be
 /// bit-identical to what a fresh solver would say — batching may never
-/// be observable in the bytes. Runs at 1 and 8 evaluation threads so
-/// the batched branch-parallel path is covered both ways.
+/// be observable in the bytes. Runs with 1 and 8 dispatch workers: the
+/// pool is where the server's parallelism lives, so batches are served
+/// both one at a time and concurrently.
 #[cfg(unix)]
-fn batching_fidelity_case(threads: usize) {
-    use tiebreak_core::{EngineConfig, RuntimeConfig};
-
+fn batching_fidelity_case(workers: usize) {
     let config = ServerConfig {
-        registry: RegistryConfig {
-            engine: EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-            ..RegistryConfig::default()
-        },
         mode: ServerMode::Reactor,
+        workers,
         ..ServerConfig::default()
     };
     let (addr, _registry, handle) = start_server(config);
@@ -405,10 +401,10 @@ fn batching_fidelity_case(threads: usize) {
     const READERS: usize = 31;
     const REPEATS: usize = 8;
     std::thread::scope(|scope| {
-        let mut workers = Vec::new();
+        let mut clients = Vec::new();
         for reader in 0..READERS {
             let expected_read = &expected_read;
-            workers.push(scope.spawn(move || {
+            clients.push(scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 client.open(PROG, db).expect("open");
                 for round in 0..REPEATS {
@@ -416,7 +412,7 @@ fn batching_fidelity_case(threads: usize) {
                     assert_eq!(response.status, "errors=0");
                     assert_eq!(
                         &response.body, expected_read,
-                        "reader {reader} round {round} (threads={threads})"
+                        "reader {reader} round {round} (workers={workers})"
                     );
                 }
                 client.bye().expect("bye");
@@ -424,7 +420,7 @@ fn batching_fidelity_case(threads: usize) {
         }
         let expected_mutator = &expected_mutator;
         let mutator_refs = &mutator_refs;
-        workers.push(scope.spawn(move || {
+        clients.push(scope.spawn(move || {
             let mut client = Client::connect(addr).expect("connect");
             client.open(PROG, db).expect("open");
             for (i, frame) in mutator_refs.iter().enumerate() {
@@ -432,13 +428,13 @@ fn batching_fidelity_case(threads: usize) {
                 assert_eq!(response.status, "errors=0");
                 assert_eq!(
                     &response.body, &expected_mutator[i],
-                    "mutator frame {i} (threads={threads})"
+                    "mutator frame {i} (workers={workers})"
                 );
             }
             client.bye().expect("bye");
         }));
-        for worker in workers {
-            worker.join().expect("client thread");
+        for client in clients {
+            client.join().expect("client thread");
         }
     });
 

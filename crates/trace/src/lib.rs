@@ -11,8 +11,8 @@
 //!   buffer**; buffers are drained into a global sink at phase barriers
 //!   ([`flush`]) or automatically when the thread exits. Events carry a
 //!   globally unique sequence stamp, a span id, and a parent id, so a
-//!   drained trace reconstructs the full causal tree of a query across
-//!   worker threads.
+//!   drained trace reconstructs the full causal tree of a query on the
+//!   thread that served it.
 //! - [`mod@metrics`]: a fixed-allocation registry of named counters, gauges
 //!   and log-linear histograms ([`Metrics`]), always on, updated only at
 //!   coarse phase boundaries (per close run, per branch, per request —
@@ -39,9 +39,7 @@ pub mod span;
 
 pub use export::{validate_trace_json, Trace, TraceCheck};
 pub use metrics::{metrics, Counter, Gauge, Histogram, Metrics, MetricsSnapshot};
-pub use span::{
-    child_span, drain, flush, instant, instant_under, span, SpanGuard, TraceEvent, TraceEventKind,
-};
+pub use span::{drain, flush, instant, span, SpanGuard, TraceEvent, TraceEventKind};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

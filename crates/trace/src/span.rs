@@ -5,16 +5,14 @@
 //! its own ring buffer plus three global atomic counters (sequence
 //! stamp, span id, thread ordinal). The sole lock is the global sink
 //! mutex, taken at **phase barriers** — an explicit [`flush`] at the end
-//! of a scheduler worker or a server request, or the implicit flush when
-//! a thread's TLS is torn down (complete once the thread's handle is
-//! joined; a scope's implicit join may return earlier, so scoped
-//! workers flush explicitly). [`drain`] flushes the calling thread and
-//! takes the sink, returning events sorted by sequence stamp.
+//! of a server request, or the implicit flush when a thread's TLS is
+//! torn down (complete once the thread's handle is joined). [`drain`]
+//! flushes the calling thread and takes the sink, returning events
+//! sorted by sequence stamp.
 //!
 //! Parent linkage: each thread keeps a stack of open span ids; a new
-//! span parents to the top of the stack. Work handed to another thread
-//! crosses the TLS boundary with an explicit id — capture
-//! [`SpanGuard::id`] and open the remote side with [`child_span`].
+//! span parents to the top of the stack. A span opened on a fresh
+//! thread is a root.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -130,8 +128,8 @@ impl ThreadBuf {
 }
 
 impl Drop for ThreadBuf {
-    // TLS teardown is the implicit phase barrier for scoped worker
-    // threads: whatever they recorded lands in the sink on exit.
+    // TLS teardown is the implicit phase barrier for every thread:
+    // whatever it recorded lands in the sink on exit.
     fn drop(&mut self) {
         self.flush_into_sink();
     }
@@ -176,17 +174,12 @@ impl SpanGuard {
         }
     }
 
-    fn start(
-        cat: &'static str,
-        name: &'static str,
-        explicit_parent: Option<u64>,
-        args: &[(&'static str, u64)],
-    ) -> Self {
+    fn start(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) -> Self {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let (args_len, args) = clamp_args(args);
         let (parent, tid) = BUF.with(|b| {
             let mut b = b.borrow_mut();
-            let parent = explicit_parent.unwrap_or_else(|| b.stack.last().copied().unwrap_or(0));
+            let parent = b.stack.last().copied().unwrap_or(0);
             b.stack.push(id);
             (parent, b.tid)
         });
@@ -202,8 +195,8 @@ impl SpanGuard {
         }
     }
 
-    /// The span id, for parenting work handed to another thread via
-    /// [`child_span`]. Zero when tracing is disabled.
+    /// The span id (what children record as their `parent`). Zero when
+    /// tracing is disabled.
     #[must_use]
     pub fn id(&self) -> u64 {
         self.id
@@ -261,23 +254,7 @@ pub fn span(cat: &'static str, name: &'static str, args: &[(&'static str, u64)])
     if !crate::enabled() {
         return SpanGuard::disabled();
     }
-    SpanGuard::start(cat, name, None, args)
-}
-
-/// Opens a span under an explicit parent id — the cross-thread edge
-/// (scheduler workers parent to the evaluation span of the submitting
-/// thread). `parent` 0 makes a root.
-#[inline]
-pub fn child_span(
-    cat: &'static str,
-    name: &'static str,
-    parent: u64,
-    args: &[(&'static str, u64)],
-) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard::disabled();
-    }
-    SpanGuard::start(cat, name, Some(parent), args)
+    SpanGuard::start(cat, name, args)
 }
 
 /// Records a point event parented to the innermost open span.
@@ -286,34 +263,15 @@ pub fn instant(cat: &'static str, name: &'static str, args: &[(&'static str, u64
     if !crate::enabled() {
         return;
     }
-    record_instant(cat, name, None, args);
+    record_instant(cat, name, args);
 }
 
-/// Records a point event under an explicit parent id.
-#[inline]
-pub fn instant_under(
-    cat: &'static str,
-    name: &'static str,
-    parent: u64,
-    args: &[(&'static str, u64)],
-) {
-    if !crate::enabled() {
-        return;
-    }
-    record_instant(cat, name, Some(parent), args);
-}
-
-fn record_instant(
-    cat: &'static str,
-    name: &'static str,
-    explicit_parent: Option<u64>,
-    args: &[(&'static str, u64)],
-) {
+fn record_instant(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) {
     let (args_len, args) = clamp_args(args);
     let ts_ns = now_ns();
     BUF.with(|b| {
         let mut b = b.borrow_mut();
-        let parent = explicit_parent.unwrap_or_else(|| b.stack.last().copied().unwrap_or(0));
+        let parent = b.stack.last().copied().unwrap_or(0);
         let tid = b.tid;
         b.push(TraceEvent {
             kind: TraceEventKind::Instant,
@@ -332,8 +290,8 @@ fn record_instant(
 }
 
 /// Drains this thread's ring buffer into the global sink. Call at phase
-/// barriers (end of a worker closure, end of a server request). Cheap
-/// when the buffer is empty.
+/// barriers (end of a server request or dispatch job). Cheap when the
+/// buffer is empty.
 pub fn flush() {
     BUF.with(|b| b.borrow_mut().flush_into_sink());
 }
@@ -341,7 +299,7 @@ pub fn flush() {
 /// Flushes the calling thread, then takes every event accumulated in
 /// the sink, sorted by sequence stamp. Events still sitting in *other*
 /// live threads' buffers are not included — flush those threads first
-/// (scheduler workers flush on exit).
+/// (the server flushes at the end of every request).
 #[must_use]
 pub fn drain() -> Vec<TraceEvent> {
     flush();
@@ -406,17 +364,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cross_thread_child_span_flushes_on_exit() {
+    fn worker_thread_span_flushes_on_exit() {
         let _x = exclusive();
         let root = span("t", "root", &[]);
-        let root_id = root.id();
         // Join the handle itself: the scope's implicit join returns once
         // the closure finishes, possibly before the worker's TLS (and
         // with it the implicit flush) is torn down.
         std::thread::scope(|scope| {
             scope
-                .spawn(move || {
-                    let _w = child_span("t", "worker", root_id, &[]);
+                .spawn(|| {
+                    let _w = span("t", "worker", &[]);
                 })
                 .join()
                 .expect("worker");
@@ -425,7 +382,8 @@ pub(crate) mod tests {
         let events = drain();
         let worker = events.iter().find(|e| e.name == "worker").expect("worker");
         let root = events.iter().find(|e| e.name == "root").expect("root");
-        assert_eq!(worker.parent, root.id);
+        // The TLS stack is per thread: the worker's span is a root.
+        assert_eq!(worker.parent, 0);
         assert_ne!(worker.tid, root.tid);
     }
 

@@ -39,7 +39,7 @@
 //! [`ground`] (ground graphs and `close`), [`core`] (semantics and
 //! analyses), [`analyze`] (the pre-grounding static analyzer: safety
 //! lints, totality certificates, grounding cost estimates),
-//! [`runtime`] (the parallel session solver: ground once, close once,
+//! [`runtime`] (the session solver: ground once, close once,
 //! serve many evaluations), [`trace`] (structured tracing and metrics
 //! across every layer), and [`constructions`] (reductions and
 //! generators).
@@ -73,8 +73,7 @@ pub mod prelude {
         RootFalsePolicy, RootTruePolicy, ScriptedPolicy, TiePolicy,
     };
     pub use tiebreak_core::{
-        Engine, EngineConfig, EvalMode, EvalOptions, Mutation, PrepareDelta, RuntimeConfig,
-        SessionConfig,
+        Engine, EngineConfig, EvalMode, EvalOptions, Mutation, PrepareDelta, SessionConfig,
     };
     pub use tiebreak_runtime::{uniform, PolicyFactory, Solver};
     pub use tiebreak_trace::{metrics, MetricsSnapshot, Trace};

@@ -4,7 +4,7 @@
 //!
 //! * **call-consistent grade** — every well-founded tie-breaking run
 //!   terminates with a *total* model, for every database, every tie
-//!   script, both ground modes, and any thread count;
+//!   script, both ground modes, cold or with a warm branch cache;
 //! * **stratified grade** — additionally the outcome set is a
 //!   singleton (no tie ever fires) and the `certified_total` fast path
 //!   (plain well-founded evaluation, no tie machinery) is bit-identical
@@ -53,12 +53,15 @@ proptest! {
 
         let mut reference_facts: Option<Vec<GroundAtom>> = None;
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                let config = EngineConfig::default()
-                    .with_ground_mode(mode)
-                    .with_runtime(RuntimeConfig::with_threads(threads));
+            // Cold, and with the branch cache filled by a well-founded
+            // pass first.
+            for warm in [false, true] {
+                let config = EngineConfig::default().with_ground_mode(mode);
                 let solver = Solver::with_config(program.clone(), db.clone(), config)
                     .expect("prepares");
+                if warm {
+                    solver.well_founded().expect("wf runs");
+                }
 
                 // Call-consistent grade: every tie script totals.
                 for policy_seed in [seed, seed ^ 0xdead_beef] {
@@ -90,7 +93,6 @@ proptest! {
                         db.clone(),
                         EngineConfig::default()
                             .with_ground_mode(mode)
-                            .with_runtime(RuntimeConfig::with_threads(threads))
                             .with_analysis(true),
                     )
                     .expect("prepares");

@@ -1,8 +1,10 @@
-//! Parallel determinism suite: the session runtime across thread counts.
+//! Determinism suite: the session runtime across the ways it serves.
 //!
 //! For every instance of the random program sweep (the same generators
 //! as `tests/eval_modes.rs`) and for **both ground modes**, the runtime
-//! [`Solver`] must produce, across `threads ∈ {1, 2, 8}`:
+//! [`Solver`] must produce the same results on a cold run, on a
+//! cache-warm rerun of the same solver (untouched branches replay from
+//! the branch cache), and on a fresh solver:
 //!
 //! * **identical well-founded models** — bit-identical decoded fact
 //!   lists, which must also equal the one-shot `tiebreak-core`
@@ -12,12 +14,10 @@
 //!   the pure and well-founded flavours;
 //! * **identical [`RunStats`] counters** — `components_processed`,
 //!   `max_component_rounds`, `ties_broken`, `unfounded_rounds`,
-//!   `close_rounds` merge deterministically from per-branch partials at
-//!   join (the concurrency aggregation bugfix), so the whole struct is
-//!   compared with `==`.
-//!
-//! Thread count 8 exceeds this machine's branch counts and (possibly)
-//! its core count on purpose: oversubscription must change nothing.
+//!   `close_rounds` merge deterministically from per-branch partials in
+//!   branch order, so the whole struct is compared with `==` (after
+//!   clearing `branches_reused`, the one counter that records a cache
+//!   replay).
 
 use std::collections::BTreeSet;
 
@@ -29,9 +29,8 @@ use tie_breaking_datalog::constructions::generators;
 use tie_breaking_datalog::core::engine::EvalOutcome;
 use tie_breaking_datalog::core::semantics::outcomes::all_outcomes_with;
 use tie_breaking_datalog::core::semantics::well_founded::well_founded;
+use tie_breaking_datalog::core::RunStats;
 use tie_breaking_datalog::prelude::*;
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// A random propositional program over `preds` proposition names (the
 /// `tests/eval_modes.rs` generator).
@@ -72,15 +71,21 @@ fn db_from_mask(program: &Program, mask: u32) -> Database {
     db
 }
 
-fn solver_for(program: &Program, db: &Database, mode: GroundMode, threads: usize) -> Solver {
+fn solver_for(program: &Program, db: &Database, mode: GroundMode) -> Solver {
     Solver::with_config(
         program.clone(),
         db.clone(),
-        EngineConfig::default()
-            .with_ground_mode(mode)
-            .with_runtime(RuntimeConfig::with_threads(threads)),
+        EngineConfig::default().with_ground_mode(mode),
     )
     .expect("session prepares")
+}
+
+/// `stats` with the serving-only `branches_reused` counter cleared.
+fn without_reuse(stats: &RunStats) -> RunStats {
+    RunStats {
+        branches_reused: 0,
+        ..stats.clone()
+    }
 }
 
 fn decoded(outcome: &EvalOutcome) -> (Vec<String>, Vec<String>) {
@@ -125,7 +130,7 @@ fn outcome_set_of_models(
         .collect()
 }
 
-/// The full cross-thread check for one instance in one ground mode.
+/// The full cold/warm/fresh check for one instance in one ground mode.
 fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
     // The one-shot reference interpreter on an independently grounded
     // graph (paper-literal Full mode so the reference is mode-agnostic).
@@ -139,9 +144,11 @@ fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
         .collect();
     ref_true.sort();
 
+    // Cold and cache-warm on one solver, then a fresh solver.
+    let warm = solver_for(program, db, mode);
+    let fresh = solver_for(program, db, mode);
     let mut wf_runs: Vec<(EvalOutcome, BTreeSet<Outcome>, BTreeSet<Outcome>)> = Vec::new();
-    for threads in THREADS {
-        let solver = solver_for(program, db, mode, threads);
+    for solver in [&warm, &warm, &fresh] {
         let wf = solver.well_founded().expect("wf runs");
         let sets: Vec<BTreeSet<Outcome>> = [false, true]
             .iter()
@@ -154,22 +161,28 @@ fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
         wf_runs.push((wf, sets[0].clone(), sets[1].clone()));
     }
 
-    // Identical wf models across thread counts, and vs the reference.
+    // Identical wf models cold, warm and fresh, and vs the reference.
     let (first_wf, first_tb_set, first_pure_set) = &wf_runs[0];
     let first_decoded = decoded(first_wf);
     assert_eq!(first_decoded.0, ref_true, "session wf ≠ reference wf");
     assert_eq!(first_wf.total, reference.total);
+    assert_eq!(first_wf.stats.branches_reused, 0, "cold cache");
+    assert_eq!(
+        wf_runs[1].0.stats.branches_reused,
+        warm.branch_count(),
+        "the warm rerun replays every branch"
+    );
     for (wf, tb_set, pure_set) in &wf_runs[1..] {
-        assert_eq!(decoded(wf), first_decoded, "wf model differs by threads");
+        assert_eq!(decoded(wf), first_decoded, "wf model differs");
         assert_eq!(wf.total, first_wf.total);
-        assert_eq!(wf.stats, first_wf.stats, "wf stats differ by threads");
-        assert_eq!(tb_set, first_tb_set, "tb outcome set differs by threads");
+        assert_eq!(without_reuse(&wf.stats), first_wf.stats, "wf stats differ");
+        assert_eq!(tb_set, first_tb_set, "tb outcome set differs");
         assert_eq!(pure_set, first_pure_set, "pure outcome set differs");
     }
 
     // Outcome sets also agree with the core enumerator over the same
     // prepared graph (the solver's own graph, so atom spaces coincide).
-    let solver = solver_for(program, db, mode, 2);
+    let solver = &fresh;
     for (pure, session_set) in [(false, first_tb_set), (true, first_pure_set)] {
         let core = all_outcomes_with(
             solver.graph(),
@@ -185,18 +198,18 @@ fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
         assert_eq!(&core_set, session_set, "session ≠ core outcome set");
     }
 
-    // Tie-breaking single runs: stats identical across thread counts.
-    let tb_runs: Vec<EvalOutcome> = THREADS
+    // Tie-breaking single runs: stats identical cold, warm and fresh.
+    let tb_runs: Vec<EvalOutcome> = [&warm, &warm, &solver_for(program, db, mode)]
         .iter()
-        .map(|&t| {
-            solver_for(program, db, mode, t)
+        .map(|solver| {
+            solver
                 .well_founded_tie_breaking(&uniform(RootTruePolicy))
                 .expect("tb runs")
         })
         .collect();
     for tb in &tb_runs[1..] {
         assert_eq!(decoded(tb), decoded(&tb_runs[0]));
-        assert_eq!(tb.stats, tb_runs[0].stats, "tb stats differ by threads");
+        assert_eq!(tb.stats, tb_runs[0].stats, "tb stats differ");
     }
 }
 
@@ -231,20 +244,22 @@ proptest! {
 }
 
 /// The deterministic wide-forest instance: many independent branches,
-/// thread counts both below and above the branch count.
+/// evaluated cold, after a well-founded pass filled the branch cache,
+/// and on a fresh solver.
 #[test]
 fn wide_forest_is_schedule_invariant() {
     let program = generators::win_move_program();
     let db = generators::wide_tie_forest_db(12, 4);
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let runs: Vec<EvalOutcome> = [1usize, 2, 8, 32]
-            .iter()
-            .map(|&t| {
-                solver_for(&program, &db, mode, t)
-                    .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                    .expect("runs")
-            })
-            .collect();
+        let warm = solver_for(&program, &db, mode);
+        let tb = |solver: &Solver| {
+            solver
+                .well_founded_tie_breaking(&uniform(RootTruePolicy))
+                .expect("runs")
+        };
+        let cold = tb(&warm);
+        warm.well_founded().expect("wf runs");
+        let runs = [cold, tb(&warm), tb(&solver_for(&program, &db, mode))];
         for r in &runs {
             assert!(r.total);
             // At least the source pocket of every chain needs an actual

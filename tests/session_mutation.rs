@@ -19,7 +19,9 @@
 //!   flavours (individual runs may break isomorphic ties in different
 //!   component orders — the sets are the semantic object, exactly as in
 //!   the global-vs-stratified differential suite);
-//! * across **both ground modes** and worker counts 1 and 4.
+//! * across **both ground modes**, with the branch cache cold or
+//!   already filled when the first mutation lands, and on a cache-warm
+//!   rerun after every step.
 //!
 //! The sweep deliberately includes mutations that add or retire
 //! constants (exercising the re-prepare fallback), programs with
@@ -62,13 +64,11 @@ fn arb_program(preds: usize, max_rules: usize) -> impl Strategy<Value = Program>
     })
 }
 
-fn solver_for(program: &Program, db: &Database, mode: GroundMode, threads: usize) -> Solver {
+fn solver_for(program: &Program, db: &Database, mode: GroundMode) -> Solver {
     Solver::with_config(
         program.clone(),
         db.clone(),
-        EngineConfig::default()
-            .with_ground_mode(mode)
-            .with_runtime(RuntimeConfig::with_threads(threads)),
+        EngineConfig::default().with_ground_mode(mode),
     )
     .expect("session prepares")
 }
@@ -133,6 +133,19 @@ fn assert_state_matches_fresh(mutated: &Solver, step: usize) {
         s.branches_reused = 0;
         s
     };
+    // A cache-warm rerun replays every branch and changes nothing else.
+    let warm = mutated.well_founded().expect("warm wf runs");
+    assert_eq!(warm.stats.branches_reused, mutated.branch_count());
+    assert_eq!(
+        decoded(&warm),
+        decoded(&a),
+        "warm wf diverges at step {step}"
+    );
+    assert_eq!(
+        normalize(warm.stats),
+        normalize(a.stats.clone()),
+        "warm wf stats diverge at step {step}"
+    );
     assert_eq!(
         normalize(a.stats),
         normalize(b.stats),
@@ -149,15 +162,20 @@ fn assert_state_matches_fresh(mutated: &Solver, step: usize) {
 }
 
 /// Runs one churn sequence, asserting exactness after every step.
+/// `prewarm` fills the branch cache before the first mutation, so the
+/// first step's invalidation runs against cached branches.
 fn churn<F: Fn(u32) -> GroundAtom>(
     program: &Program,
     db0: &Database,
     fact_of: F,
     toggles: &[u32],
     mode: GroundMode,
-    threads: usize,
+    prewarm: bool,
 ) {
-    let mut solver = solver_for(program, db0, mode, threads);
+    let mut solver = solver_for(program, db0, mode);
+    if prewarm {
+        solver.well_founded().expect("wf runs");
+    }
     for (step, &t) in toggles.iter().enumerate() {
         let fact = fact_of(t);
         let delta = if solver.database().contains(&fact) {
@@ -199,8 +217,8 @@ proptest! {
             GroundAtom::new(pred, std::iter::empty())
         };
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                churn(&program, &db, fact_of, &toggles, mode, threads);
+            for prewarm in [false, true] {
+                churn(&program, &db, fact_of, &toggles, mode, prewarm);
             }
         }
     }
@@ -223,8 +241,8 @@ proptest! {
         }
         let fact_of = |t: u32| edge(t / 4, t % 4);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                churn(&program, &db, fact_of, &toggles, mode, threads);
+            for prewarm in [false, true] {
+                churn(&program, &db, fact_of, &toggles, mode, prewarm);
             }
         }
     }
@@ -246,8 +264,8 @@ proptest! {
         let db = parse_database("e(c0, c1).\nn(c0).\nn(c1).\nn(c2).").unwrap();
         let fact_of = |t: u32| edge(t / 3, t % 3);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                churn(&program, &db, fact_of, &toggles, mode, threads);
+            for prewarm in [false, true] {
+                churn(&program, &db, fact_of, &toggles, mode, prewarm);
             }
         }
     }
@@ -260,7 +278,7 @@ fn batched_mutations_match_net_effect() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b).\nmove(b, a).\nmove(c, d).").unwrap();
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut solver = solver_for(&program, &db, mode, 2);
+        let mut solver = solver_for(&program, &db, mode);
         solver
             .apply(vec![
                 Mutation::Retract(GroundAtom::from_texts("move", &["b", "a"])),
@@ -281,7 +299,7 @@ fn flapping_fact_reuses_stale_instances() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b).\nmove(b, a).\nmove(b, c).").unwrap();
     let fact = GroundAtom::from_texts("move", &["b", "c"]);
-    let mut solver = solver_for(&program, &db, GroundMode::Relevant, 1);
+    let mut solver = solver_for(&program, &db, GroundMode::Relevant);
     let rules_after_first_cycle = {
         solver.retract_fact(fact.clone()).unwrap();
         solver.insert_fact(fact.clone()).unwrap();

@@ -4,14 +4,16 @@
 //! Three families of checks over the braided single-branch workload and
 //! the serving tier:
 //!
-//! * **well-formedness across thread counts** — for `threads ∈ {1, 2, 8}`
-//!   every drained trace has unique sequence stamps, every span closed
-//!   with a valid (earlier-allocated) parent, an `evaluate` span that
-//!   records the one worker a single branch runs on, and a
-//!   chrome://tracing export that round-trips through the vendored
-//!   validator;
+//! * **well-formedness** — on a cold run, a cache-warm rerun and a fresh
+//!   solver every drained trace has unique sequence stamps, every span
+//!   closed with a valid (earlier-allocated) parent, an `evaluate` span
+//!   that records the braid's one branch with its `branch` span (if it
+//!   ran rather than replayed) directly beneath it on the same thread,
+//!   no `worker` span, and a chrome://tracing export that round-trips
+//!   through the vendored validator;
 //! * **bit-identical results** — well-founded models, outcome sets, and
-//!   merged [`RunStats`] are `==` with the recorder on and off;
+//!   merged [`RunStats`] are `==` with the recorder on and off, cold and
+//!   cache-warm;
 //! * **server span tree** — one traced `open` + `? query` exchange
 //!   yields `server` request spans that parent the registry open and
 //!   the evaluation spans recorded further down the stack, and the
@@ -26,7 +28,6 @@ use tie_breaking_datalog::constructions::generators;
 use tie_breaking_datalog::prelude::*;
 use tie_breaking_datalog::trace::{self, TraceEvent, TraceEventKind};
 
-const THREADS: [usize; 3] = [1, 2, 8];
 const CHAINS: usize = 4;
 const POCKETS: usize = 2;
 const LOOP: usize = 16;
@@ -41,42 +42,60 @@ fn exclusive() -> MutexGuard<'static, ()> {
     guard
 }
 
-fn braided_solver(threads: usize) -> Solver {
+fn braided_solver() -> Solver {
     let program = generators::braided_unfounded_chain_program(CHAINS, POCKETS, LOOP);
-    Solver::with_config(
-        program,
-        Database::new(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-    )
-    .expect("prepares")
+    Solver::new(program, Database::new()).expect("prepares")
+}
+
+/// Runs `f` with the recorder on and returns its result with the trace.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, trace::Trace) {
+    trace::set_enabled(true);
+    let out = f();
+    trace::set_enabled(false);
+    (out, trace::Trace::from_events(trace::drain()))
 }
 
 #[test]
 fn traces_are_well_formed_across_thread_counts() {
     let _guard = exclusive();
-    for threads in THREADS {
-        trace::set_enabled(true);
-        let solver = braided_solver(threads);
+    let decided = |solver: &Solver| {
         let out = solver.well_founded().expect("runs");
         assert!(out.total, "the braid is decided");
-        trace::set_enabled(false);
-        let events = trace::drain();
-        assert!(!events.is_empty(), "threads={threads} recorded nothing");
-        let built = trace::Trace::from_events(events);
-        built
-            .well_formed()
-            .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
-        // The evaluation root exists and the scheduler's spans hang off
-        // it (directly or through a worker span). The braid is one
-        // branch, so it runs on one worker whatever `threads` asks for.
+    };
+    // Cold and cache-warm on one solver, then a fresh solver. The warm
+    // rerun replays the cached branch, so it records no branch span.
+    let (solver, cold) = traced(|| {
+        let solver = braided_solver();
+        decided(&solver);
+        solver
+    });
+    let ((), warm) = traced(|| decided(&solver));
+    let ((), fresh) = traced(|| decided(&braided_solver()));
+    for (run, built, branch_spans) in [("cold", cold, 1), ("warm", warm, 0), ("fresh", fresh, 1)] {
+        assert!(!built.events.is_empty(), "{run} recorded nothing");
+        built.well_formed().unwrap_or_else(|e| panic!("{run}: {e}"));
+        // The evaluation root records the braid's one branch, and the
+        // branch span hangs directly off it: the branch ran on the
+        // evaluating thread, with no worker span in between.
         let evaluate = built
             .events
             .iter()
             .find(|e| e.name == "evaluate")
-            .unwrap_or_else(|| panic!("threads={threads} has no evaluate span"));
-        assert_eq!(evaluate.arg("threads"), Some(1), "threads={threads}");
+            .unwrap_or_else(|| panic!("{run} has no evaluate span"));
+        assert_eq!(evaluate.arg("branches"), Some(1), "{run}");
+        assert!(
+            built.events.iter().all(|e| e.name != "worker"),
+            "{run} recorded a worker span"
+        );
+        let branches: Vec<&TraceEvent> =
+            built.events.iter().filter(|e| e.name == "branch").collect();
+        assert_eq!(branches.len(), branch_spans, "{run}");
+        for branch in branches {
+            assert_eq!(branch.parent, evaluate.id, "{run}");
+            assert_eq!(branch.tid, evaluate.tid, "{run}");
+        }
         let check = trace::validate_trace_json(&built.to_chrome_json())
-            .unwrap_or_else(|e| panic!("threads={threads} export invalid: {e}"));
+            .unwrap_or_else(|e| panic!("{run} export invalid: {e}"));
         assert_eq!(check.events, built.events.len());
     }
 }
@@ -84,33 +103,25 @@ fn traces_are_well_formed_across_thread_counts() {
 #[test]
 fn tracing_leaves_results_bit_identical() {
     let _guard = exclusive();
-    for threads in THREADS {
-        let quiet = braided_solver(threads);
+    let quiet = braided_solver();
+    let (traced, _) = traced(braided_solver);
+    // Cold, then cache-warm on the same two solvers.
+    for run in ["cold", "warm"] {
         let quiet_wf = quiet.well_founded().expect("runs");
         let quiet_outcomes = quiet.all_outcomes(false, 64).expect("enumerates");
 
         trace::set_enabled(true);
-        let traced = braided_solver(threads);
         let traced_wf = traced.well_founded().expect("runs");
         let traced_outcomes = traced.all_outcomes(false, 64).expect("enumerates");
         trace::set_enabled(false);
         drop(trace::drain());
 
-        assert_eq!(
-            quiet_wf.true_facts, traced_wf.true_facts,
-            "threads={threads}"
-        );
-        assert_eq!(quiet_wf.undefined, traced_wf.undefined, "threads={threads}");
-        assert_eq!(quiet_wf.total, traced_wf.total, "threads={threads}");
-        assert_eq!(quiet_wf.stats, traced_wf.stats, "threads={threads}");
-        assert_eq!(
-            quiet_outcomes.models, traced_outcomes.models,
-            "threads={threads}"
-        );
-        assert_eq!(
-            quiet_outcomes.runs, traced_outcomes.runs,
-            "threads={threads}"
-        );
+        assert_eq!(quiet_wf.true_facts, traced_wf.true_facts, "{run}");
+        assert_eq!(quiet_wf.undefined, traced_wf.undefined, "{run}");
+        assert_eq!(quiet_wf.total, traced_wf.total, "{run}");
+        assert_eq!(quiet_wf.stats, traced_wf.stats, "{run}");
+        assert_eq!(quiet_outcomes.models, traced_outcomes.models, "{run}");
+        assert_eq!(quiet_outcomes.runs, traced_outcomes.runs, "{run}");
     }
 }
 
