@@ -16,11 +16,12 @@
 //! * the serving tier's shared-LRU registry must be ≥ 3× faster than a
 //!   per-request full re-prepare over 8 repeated opens of one
 //!   program+db key;
-//! * the reactor's cross-connection query batching must serve 32
+//! * the server's cross-connection query batching must serve 32
 //!   concurrent connections hammering one hot session ≥ 3× faster than
-//!   the legacy thread-per-connection transport when the machine has
-//!   ≥ 4 cores (below that the timings are recorded and the gate is a
-//!   first-class skip);
+//!   a thread-per-connection baseline without batching (private to
+//!   this harness; its entries keep the mode name `legacy`) when the
+//!   machine has ≥ 4 cores (below that the timings are recorded and the
+//!   gate is a first-class skip);
 //! * with the span recorder **disabled** (the production default) the
 //!   braided-chain timing must stay within 2% of the previous commit's
 //!   `wave_braided_chain threads1` entry — the check needs `--baseline`
@@ -52,6 +53,11 @@
 //! to `$GITHUB_STEP_SUMMARY`.
 
 use std::fmt::Write as _;
+use std::io::{BufReader, BufWriter, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use datalog_ast::Database;
@@ -62,6 +68,10 @@ use tiebreak_core::semantics::well_founded::well_founded_with;
 use tiebreak_core::semantics::{well_founded_tie_breaking_with, RootTruePolicy};
 use tiebreak_core::{EngineConfig, EvalMode, EvalOptions, RunStats};
 use tiebreak_runtime::{uniform, Solver};
+use tiebreak_server::registry::SessionEntry;
+use tiebreak_server::{
+    read_frame, write_frame, LineOutcome, RegistryConfig, SessionRegistry, DEFAULT_MAX_FRAME_BYTES,
+};
 
 /// Timed runs per configuration; the minimum is reported.
 const RUNS: usize = 3;
@@ -474,8 +484,6 @@ fn session_churn_entries(entries: &mut Vec<Entry>, sizes: &[usize], churn: usize
 /// inside the timed closure, so the LRU side honestly pays its one
 /// cold-start miss.
 fn server_lru_entries(entries: &mut Vec<Entry>, n: usize, opens: usize) {
-    use tiebreak_server::{RegistryConfig, SessionRegistry};
-
     let program_src = "win(X) :- move(X, Y), not win(Y).";
     let db_src = {
         let db = generators::tie_chain_move_db(n);
@@ -538,17 +546,123 @@ fn server_lru_entries(entries: &mut Vec<Entry>, n: usize, opens: usize) {
     });
 }
 
+/// The batching gate's baseline: a thread-per-connection server with
+/// no batching. It serves only the verbs `server_batching_entries`
+/// sends (`open`, `script`, `bye`, `shutdown`), replying with the
+/// status lines [`Client`](tiebreak_server::Client) parses. Every
+/// `script` frame runs alone under its session lock, so each query pays
+/// one evaluation. Returns the bound address and the accept-loop
+/// thread, which joins every connection thread before it exits.
+fn thread_per_connection_server() -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || {
+        let registry = Arc::new(SessionRegistry::new(RegistryConfig::default()));
+        let stopping = Arc::new(AtomicBool::new(false));
+        let mut conns = Vec::new();
+        for stream in listener.incoming() {
+            // `shutdown` sets the flag, then wakes this accept with a
+            // throwaway connection.
+            if stopping.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let (registry, stopping) = (Arc::clone(&registry), Arc::clone(&stopping));
+            conns.push(std::thread::spawn(move || {
+                if serve_one_connection(stream, &registry) {
+                    stopping.store(true, Ordering::SeqCst);
+                    let _ = TcpStream::connect(addr);
+                }
+            }));
+        }
+        for conn in conns {
+            conn.join().expect("connection thread");
+        }
+    });
+    (addr, handle)
+}
+
+/// One baseline connection: a frame in, a frame out, until `bye`,
+/// `shutdown` (returns `true`) or the peer hangs up.
+fn serve_one_connection(stream: TcpStream, registry: &SessionRegistry) -> bool {
+    // The reactor sets the same option, so the two compare like for like.
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = BufWriter::new(stream);
+    let mut entry: Option<Arc<SessionEntry>> = None;
+    let mut lineno = 0;
+    while let Ok(Some(payload)) = read_frame(&mut reader, DEFAULT_MAX_FRAME_BYTES) {
+        let text = std::str::from_utf8(&payload).expect("UTF-8 request");
+        let (verb_line, body) = text.split_once('\n').unwrap_or((text, ""));
+        let mut reply = Vec::new();
+        let verb = verb_line.split_whitespace().next().unwrap_or("");
+        match verb {
+            "open" => {
+                let len: usize = verb_line[verb.len()..].trim().parse().expect("open length");
+                let outcome = registry
+                    .open(&body[..len], &body[len..])
+                    .expect("open admitted");
+                let _ = write!(
+                    reply,
+                    "ok opened key={:016x} reused={} evicted={}",
+                    outcome.entry.key(),
+                    outcome.reused,
+                    outcome.evicted
+                );
+                entry = Some(outcome.entry);
+                lineno = 0;
+            }
+            "script" => {
+                let entry = entry.as_ref().expect("open before script");
+                let mut out = Vec::new();
+                let mut errors = 0;
+                let mut session = entry.lock();
+                for line in body.lines() {
+                    lineno += 1;
+                    if session
+                        .process_line(lineno, line, &mut out)
+                        .expect("in-memory sink")
+                        == LineOutcome::Error
+                    {
+                        errors += 1;
+                    }
+                }
+                if session.finish(&mut out).expect("in-memory sink") == LineOutcome::Error {
+                    errors += 1;
+                }
+                entry.sync_footprint(&session);
+                drop(session);
+                let _ = writeln!(reply, "ok errors={errors}");
+                reply.extend_from_slice(&out);
+            }
+            "bye" => {
+                let _ = write_frame(&mut writer, b"ok bye");
+                return false;
+            }
+            "shutdown" => {
+                let _ = write_frame(&mut writer, b"ok shutting down");
+                return true;
+            }
+            other => panic!("baseline server got unexpected verb {other:?}"),
+        }
+        if write_frame(&mut writer, &reply).is_err() {
+            break;
+        }
+    }
+    false
+}
+
 /// The cross-connection batching workload: `conns` concurrent clients
 /// stream the same read-only point query at **one** hot session over
-/// real loopback TCP, served (a) by the poll-based reactor, whose
-/// dispatcher coalesces the queued read-only frames into shared
-/// evaluations, and (b) by the legacy thread-per-connection transport,
-/// which serializes every query on the session lock and pays a full
+/// real loopback TCP, served (a) by the server's poll-based reactor,
+/// whose dispatcher coalesces the queued read-only frames into shared
+/// evaluations, and (b) by [`thread_per_connection_server`], which
+/// serializes every query on the session lock and pays a full
 /// cached-replay evaluation each time. Connections are established and
 /// the session is prepared (one open per client, registry hits after
 /// the first) outside the timer, so the entries isolate query serving.
 fn server_batching_entries(entries: &mut Vec<Entry>, n: usize, conns: usize, repeats: usize) {
-    use tiebreak_server::{Client, Server, ServerConfig, ServerMode};
+    use tiebreak_server::{Client, Server, ServerConfig};
 
     let program_src = "win(X) :- move(X, Y), not win(Y).";
     let db_src = {
@@ -561,22 +675,17 @@ fn server_batching_entries(entries: &mut Vec<Entry>, n: usize, conns: usize, rep
     };
     let script = "? win(a0)\n";
 
-    for (mode, name) in [
-        (ServerMode::Reactor, "reactor"),
-        (ServerMode::LegacyThreads, "legacy"),
-    ] {
+    for name in ["reactor", "legacy"] {
         let mut best = f64::INFINITY;
         for _ in 0..RUNS {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                ServerConfig {
-                    mode,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind");
-            let addr = server.local_addr().expect("addr");
-            let handle = std::thread::spawn(move || server.run());
+            let (addr, handle) = if name == "reactor" {
+                let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+                let addr = server.local_addr().expect("addr");
+                let handle = std::thread::spawn(move || server.run().expect("clean exit"));
+                (addr, handle)
+            } else {
+                thread_per_connection_server()
+            };
 
             // Pay preparation and connection setup outside the timer.
             let mut clients: Vec<Client> = (0..conns)
@@ -619,7 +728,7 @@ fn server_batching_entries(entries: &mut Vec<Entry>, n: usize, conns: usize, rep
             }
             let mut stopper = Client::connect(addr).expect("connect");
             stopper.shutdown().expect("shutdown");
-            handle.join().expect("join").expect("clean exit");
+            handle.join().expect("join");
         }
         entries.push(Entry {
             bench: "server_batching",
@@ -727,10 +836,10 @@ fn gates(
     });
 
     // Cross-connection batching: the reactor coalescing concurrent
-    // read-only queries into shared evaluations must beat the legacy
-    // thread-per-connection transport, which pays one evaluation per
+    // read-only queries into shared evaluations must beat the
+    // thread-per-connection baseline, which pays one evaluation per
     // query, by ≥ 3× on the 32-connection hot-session workload. The
-    // two transports contend for the same cores, so the ratio is only
+    // two servers contend for the same cores, so the ratio is only
     // meaningful with ≥ 4 of them; smaller hosts record the timings
     // and skip.
     let legacy = wall_of(entries, "server_batching", SERVER_LRU_N, "legacy");

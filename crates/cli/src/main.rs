@@ -967,7 +967,8 @@ mod tests {
 
     #[test]
     fn conflicting_transport_flags_rejected() {
-        // `serve` has one transport per platform; neither switch exists.
+        // `serve` has one transport, the reactor, on every platform;
+        // neither switch exists.
         let args: Vec<String> = ["serve", "--reactor", "--legacy-threads"]
             .iter()
             .map(std::string::ToString::to_string)

@@ -36,7 +36,9 @@ use crate::semantics::tie_breaking::{
     pure_tie_breaking_with, well_founded_tie_breaking_with, TiePolicy,
 };
 use crate::semantics::well_founded::well_founded_with;
-use crate::semantics::{EvalMode, EvalOptions, InterpreterRun, RunStats, SemanticsError};
+use crate::semantics::{
+    sort_by_text, EvalMode, EvalOptions, InterpreterRun, RunStats, SemanticsError,
+};
 
 /// Incremental-session knobs (used by the `tiebreak-runtime` solver;
 /// the one-shot [`Engine`] facade re-prepares per query regardless).
@@ -276,9 +278,10 @@ impl fmt::Display for AnalysisReport {
 /// The decoded outcome of an interpreter run.
 #[derive(Clone, Debug)]
 pub struct EvalOutcome {
-    /// True ground atoms, sorted.
+    /// True ground atoms, sorted by predicate and argument text.
     pub true_facts: Vec<GroundAtom>,
-    /// Atoms left undefined (empty iff `total`), sorted.
+    /// Atoms left undefined (empty iff `total`), sorted by predicate
+    /// and argument text.
     pub undefined: Vec<GroundAtom>,
     /// Whether the model is total.
     pub total: bool,
@@ -288,20 +291,21 @@ pub struct EvalOutcome {
 
 impl EvalOutcome {
     /// Decodes an interpreter run against its atom table: true and
-    /// undefined facts, each sorted by `(predicate, args)`.
+    /// undefined facts, each sorted by predicate and argument text (not
+    /// by interner id, which depends on the process's history).
     ///
     /// The single decoding point for every front-end — the `Engine`
     /// facade and the `tiebreak-runtime` session solver both go through
     /// it, so their printed fact order can never drift apart.
     pub fn decode(atoms: &datalog_ground::AtomTable, run: InterpreterRun) -> EvalOutcome {
         let mut true_facts = run.model.true_atoms(atoms);
-        true_facts.sort_by(|a, b| (a.pred.as_str(), &a.args).cmp(&(b.pred.as_str(), &b.args)));
+        sort_by_text(&mut true_facts);
         let mut undefined: Vec<GroundAtom> = run
             .model
             .undefined_atoms()
             .map(|id| atoms.decode(id))
             .collect();
-        undefined.sort_by(|a, b| (a.pred.as_str(), &a.args).cmp(&(b.pred.as_str(), &b.args)));
+        sort_by_text(&mut undefined);
         EvalOutcome {
             true_facts,
             undefined,
@@ -507,7 +511,7 @@ fn sorted_true(model: &PartialModel, graph: &GroundGraph) -> Vec<GroundAtom> {
         .filter(|&(_, t)| t == TruthValue::True)
         .map(|(id, _)| graph.atoms().decode(id))
         .collect();
-    v.sort_by(|a, b| (a.pred.as_str(), &a.args).cmp(&(b.pred.as_str(), &b.args)));
+    sort_by_text(&mut v);
     v
 }
 
@@ -532,6 +536,31 @@ mod tests {
         let wf = engine.well_founded().unwrap();
         assert!(wf.total);
         assert!(wf.true_facts.iter().any(|f| f.to_string() == "win(b)"));
+    }
+
+    /// Interning the constants in reverse text order first gives them
+    /// descending interner ids; the decoded facts must still come out
+    /// in text order, as they would in a fresh process.
+    #[test]
+    fn decoded_facts_are_in_text_order_whatever_was_interned_first() {
+        let names: Vec<String> = (0..8).map(|i| format!("decoy_order_{i}")).collect();
+        for name in names.iter().rev() {
+            datalog_ast::Symbol::intern(name);
+        }
+        let database: String = names
+            .windows(2)
+            .map(|w| format!("move({}, {}).\n", w[0], w[1]))
+            .chain(names.iter().map(|n| format!("move({n}, {n}).\n")))
+            .collect();
+        let engine = Engine::from_sources("win(X) :- move(X, Y), not win(Y).", &database).unwrap();
+        let wf = engine.well_founded().unwrap();
+        for facts in [&wf.true_facts, &wf.undefined] {
+            let listed: Vec<String> = facts.iter().map(ToString::to_string).collect();
+            let mut text_order = listed.clone();
+            text_order.sort();
+            assert_eq!(listed, text_order);
+        }
+        assert!(wf.true_facts.len() > 1 && wf.undefined.len() > 1, "{wf:?}");
     }
 
     #[test]

@@ -15,6 +15,7 @@ pub mod well_founded;
 
 use std::fmt;
 
+use datalog_ast::{GroundAtom, Symbol};
 use datalog_ground::{AtomId, CloseConflict, GroundError, PartialModel};
 
 pub use scc_stratified::{
@@ -27,6 +28,41 @@ pub use tie_breaking::{
     TiePolicy, TieView,
 };
 pub use well_founded::{well_founded, well_founded_with};
+
+/// Sorts facts by predicate text, then argument text. Symbols compare
+/// by interner id, which depends on what the process interned earlier,
+/// so every printed fact list sorts through this text order instead.
+pub(crate) fn sort_by_text(facts: &mut [GroundAtom]) {
+    fn symbols(f: &GroundAtom) -> impl Iterator<Item = Symbol> + '_ {
+        std::iter::once(f.pred.symbol()).chain(f.args.iter().map(|c| c.symbol()))
+    }
+    let slot = |s: Symbol| s.index() as usize;
+    // Rank each symbol in use by its text, once; facts then compare as
+    // rank sequences. The table is indexed by interner index, so it
+    // holds at most one `u32` per interned symbol (0 = not in use).
+    let len = facts
+        .iter()
+        .flat_map(symbols)
+        .map(slot)
+        .max()
+        .map_or(0, |m| m + 1);
+    let mut rank = vec![0u32; len];
+    let mut by_text: Vec<(&str, usize)> = Vec::new();
+    for s in facts.iter().flat_map(symbols) {
+        if rank[slot(s)] == 0 {
+            rank[slot(s)] = 1;
+            by_text.push((s.as_str(), slot(s)));
+        }
+    }
+    by_text.sort_unstable();
+    for (r, (_, i)) in (1..).zip(by_text) {
+        rank[i] = r;
+    }
+    facts.sort_unstable_by(|a, b| {
+        let ranks = |f| symbols(f).map(|s| rank[slot(s)]);
+        ranks(a).cmp(ranks(b))
+    });
+}
 
 /// How an interpreter traverses the residual graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -26,7 +26,7 @@ impl StratifiedRun {
     /// The true atoms as a sorted list.
     pub fn true_atoms(&self) -> Vec<GroundAtom> {
         let mut v: Vec<GroundAtom> = self.facts.facts().collect();
-        v.sort_by(|a, b| (a.pred.as_str(), &a.args).cmp(&(b.pred.as_str(), &b.args)));
+        super::sort_by_text(&mut v);
         v
     }
 }

@@ -6,13 +6,12 @@
 //!
 //! * **Free** work — `open`, `stats`, `metrics`, `ping`, control verbs,
 //!   and `script` frames on connections with no session open. Any
-//!   worker runs them via the same `handle_request` the legacy
-//!   transport uses, so the two transports cannot drift.
+//!   worker runs them via `handle_request`.
 //! * **Session** work — `script` frames against an open session. These
 //!   enter a FIFO queue keyed by the session entry; at most one worker
-//!   drains a given session's queue at a time, which preserves the
-//!   per-session serialization the legacy mutex gave while freeing the
-//!   pool to serve other sessions concurrently.
+//!   drains a given session's queue at a time, which serializes each
+//!   session's frames while freeing the pool to serve other sessions
+//!   concurrently.
 //!
 //! The batching rule: when the head of a session queue is a *read-only*
 //! frame (every effective line a `?` query — see
@@ -385,8 +384,8 @@ fn drain_session_queue(shared: &Arc<Shared>, key: usize) {
             if batch[0].read_only {
                 execute_read_batch(shared, &entry, batch, answered);
             } else {
-                // The barrier: one mutating frame, executed exactly like
-                // the legacy transport would (same handler, same locking).
+                // The barrier: one mutating frame, executed alone through
+                // `handle_request` under the session lock.
                 let job = &batch[0];
                 answer_request(shared, job.conn, &job.session, &job.payload);
                 *answered = 1;

@@ -18,15 +18,14 @@
 //!   atoms (the grounder's own budget unit) and eviction as graceful
 //!   degradation;
 //! * [`server`] / [`client`] — the TCP server and a blocking client.
-//!   The server's default transport is a poll-based reactor with a
-//!   bounded worker pool and **cross-connection query batching**:
-//!   read-only `script` frames from many clients against the same
-//!   session coalesce into one evaluation with byte-identical
+//!   The server has one transport on every platform: a poll-based
+//!   reactor with a bounded worker pool and **cross-connection query
+//!   batching**: read-only `script` frames from many clients against
+//!   the same session coalesce into one evaluation with byte-identical
 //!   per-client answers, and mutating frames act as epoch barriers.
 //!   The worker pool is where the server's parallelism lives: each
 //!   evaluation runs on the worker that serves it, and different
-//!   requests run on different workers. The pre-reactor thread-per-connection transport
-//!   remains available as [`ServerMode::LegacyThreads`].
+//!   requests run on different workers.
 //!
 //! # Example
 //!
@@ -49,9 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-#[cfg(unix)]
 mod dispatch;
-#[cfg(unix)]
 mod reactor;
 pub mod registry;
 pub mod script;
@@ -63,5 +60,5 @@ pub use registry::{
     OpenError, OpenOutcome, RegistryConfig, RegistryStats, SessionRegistry, SessionStat,
 };
 pub use script::{LineOutcome, ScriptSession};
-pub use server::{Server, ServerConfig, ServerMode, DEFAULT_MAX_IDLE_SECS};
+pub use server::{Server, ServerConfig, DEFAULT_MAX_IDLE_SECS};
 pub use wire::{read_frame, write_frame, FrameDecoder, WireError, DEFAULT_MAX_FRAME_BYTES};

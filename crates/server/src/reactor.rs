@@ -1,9 +1,8 @@
 //! The poll-based reactor: one thread multiplexing every connection.
 //!
-//! The legacy transport spends a thread (and its stack) per connection,
-//! parked in a blocking `read`. The reactor replaces that with a single
-//! event loop over nonblocking sockets: each connection is a small
-//! state machine
+//! A single event loop serves nonblocking sockets, so a connection
+//! costs no thread of its own. Each connection is a small state
+//! machine
 //!
 //! ```text
 //! reading header → reading payload → dispatched → writing response ⟲
@@ -33,19 +32,33 @@
 //! The `poll(2)` call itself goes through a thin syscall shim in
 //! [`sys`] — no `libc` crate, consistent with the workspace's
 //! no-external-deps rule — with a portable sleep-and-assume-ready
-//! fallback for platforms without the shim.
+//! fallback for platforms without the shim. That fallback ignores the
+//! descriptors, which is why the reactor runs on every platform: only
+//! [`poll_fd`] differs between unix and the rest.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::dispatch::{ConnState, Dispatcher};
 use crate::server::{Next, Server};
-use crate::wire::{FrameDecoder, OutFrame};
+use crate::wire::{FrameDecoder, OutFrame, DEFAULT_MAX_FRAME_BYTES};
+
+/// The descriptor [`sys::poll`] watches for `socket`.
+#[cfg(unix)]
+fn poll_fd(socket: &impl std::os::fd::AsRawFd) -> i32 {
+    socket.as_raw_fd()
+}
+
+/// Off unix the poll fallback reports every entry ready without
+/// reading its descriptor, so any placeholder does.
+#[cfg(not(unix))]
+fn poll_fd<S>(_socket: &S) -> i32 {
+    -1
+}
 
 /// The raw `poll(2)` shim.
 pub(crate) mod sys {
@@ -298,7 +311,12 @@ impl Conn {
 /// Runs the reactor until a client sends `shutdown`. Consumes the
 /// bound server (listener + registry).
 pub(crate) fn run(server: Server) -> io::Result<()> {
-    let (listener, registry, max_frame, max_idle_secs, workers) = server.into_reactor_parts();
+    let Server {
+        listener,
+        registry,
+        max_idle_secs,
+        workers,
+    } = server;
     listener.set_nonblocking(true)?;
     let (notifier, waker_rx) = waker_pair()?;
     let notifier = Arc::new(notifier);
@@ -320,14 +338,12 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
         pollfds.clear();
         slot_ids.clear();
         pollfds.push(sys::PollFd {
-            fd: waker_rx.as_raw_fd(),
+            fd: poll_fd(&waker_rx),
             events: sys::POLLIN,
             revents: 0,
         });
         pollfds.push(sys::PollFd {
-            fd: listener
-                .as_ref()
-                .map_or(-1, std::os::fd::AsRawFd::as_raw_fd),
+            fd: listener.as_ref().map_or(-1, poll_fd),
             events: if listener.is_some() && !stopping {
                 sys::POLLIN
             } else {
@@ -344,7 +360,7 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
                 events |= sys::POLLOUT;
             }
             pollfds.push(sys::PollFd {
-                fd: conn.stream.as_raw_fd(),
+                fd: poll_fd(&conn.stream),
                 events,
                 revents: 0,
             });
@@ -402,7 +418,7 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
                                 Conn {
                                     id,
                                     stream,
-                                    decoder: FrameDecoder::new(max_frame),
+                                    decoder: FrameDecoder::new(DEFAULT_MAX_FRAME_BYTES),
                                     pending: VecDeque::new(),
                                     inflight: false,
                                     wq: VecDeque::new(),
@@ -481,14 +497,14 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
                 }
                 pollfds.clear();
                 pollfds.push(sys::PollFd {
-                    fd: waker_rx.as_raw_fd(),
+                    fd: poll_fd(&waker_rx),
                     events: sys::POLLIN,
                     revents: 0,
                 });
                 slot_ids.clear();
                 for (id, conn) in &conns {
                     pollfds.push(sys::PollFd {
-                        fd: conn.stream.as_raw_fd(),
+                        fd: poll_fd(&conn.stream),
                         events: if conn.wants_write() { sys::POLLOUT } else { 0 },
                         revents: 0,
                     });
@@ -540,8 +556,8 @@ fn read_ready(conn: &mut Conn, rbuf: &mut [u8], now: Instant) -> bool {
                 conn.last_activity = now;
                 if let Err(e) = conn.decoder.feed(&rbuf[..n], &mut frames) {
                     // Oversized header: the stream is desynchronized.
-                    // Report in-band (like the legacy transport) and
-                    // close once the error frame is written.
+                    // Report in-band and close once the error frame
+                    // is written.
                     let mut frame = OutFrame::new();
                     let _ = write!(frame, "error {e}");
                     conn.queue_response(frame);
@@ -629,7 +645,7 @@ mod tests {
 
     fn wait_readable(rx: &TcpStream) -> bool {
         let mut fds = [sys::PollFd {
-            fd: rx.as_raw_fd(),
+            fd: poll_fd(rx),
             events: sys::POLLIN,
             revents: 0,
         }];

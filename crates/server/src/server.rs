@@ -1,17 +1,12 @@
 //! The multi-session TCP server.
 //!
 //! One [`Server`] owns a [`SessionRegistry`] and serves many concurrent
-//! connections over one of two transports, selected by
-//! [`ServerConfig::mode`]:
-//!
-//! * [`ServerMode::Reactor`] (the default) — a poll-based event loop
-//!   (the `reactor` module) with a bounded worker pool and
-//!   cross-connection query batching (the `dispatch` module). Idle
-//!   connections cost a `pollfd`, not a thread, and are reaped after
-//!   [`ServerConfig::max_idle_secs`] without frame activity.
-//! * [`ServerMode::LegacyThreads`] — the original thread-per-connection
-//!   transport, kept as an escape hatch and as the byte-identical
-//!   reference the batching fidelity tests compare against.
+//! connections over a poll-based event loop (the `reactor` module) with
+//! a bounded worker pool and cross-connection query batching (the
+//! `dispatch` module). Idle connections cost a `pollfd`, not a thread,
+//! and are reaped after [`ServerConfig::max_idle_secs`] without frame
+//! activity. Every dispatch job runs behind an unwind boundary, so a
+//! panic fails only the frames it was serving.
 //!
 //! Each request is one [wire](crate::wire) frame whose UTF-8 payload
 //! starts with a verb line:
@@ -43,44 +38,27 @@
 //! which must never observe (or accidentally commit) another client's
 //! half-staged batch.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::io::{self, Write};
+use std::net::{TcpListener, ToSocketAddrs};
+use std::sync::Arc;
 
 use crate::registry::{RegistryConfig, SessionEntry, SessionRegistry};
 use crate::script::LineOutcome;
-use crate::wire::{read_frame, write_frame, OutFrame, WireError, DEFAULT_MAX_FRAME_BYTES};
+use crate::wire::OutFrame;
 
 /// Default idle deadline: connections with no frame activity for this
-/// many seconds are reaped (reactor mode).
+/// many seconds are reaped.
 pub const DEFAULT_MAX_IDLE_SECS: u64 = 300;
-
-/// Which transport serves connections.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Poll-based reactor + worker pool with cross-connection query
-    /// batching (the default).
-    #[default]
-    Reactor,
-    /// Thread-per-connection (the pre-reactor transport).
-    LegacyThreads,
-}
 
 /// Server tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Session registry sizing and engine configuration.
     pub registry: RegistryConfig,
-    /// Per-frame payload cap (0 = [`DEFAULT_MAX_FRAME_BYTES`]).
-    pub max_frame_bytes: u32,
-    /// Transport selection.
-    pub mode: ServerMode,
-    /// Reactor-mode idle deadline in seconds (0 = never reap;
-    /// ignored by the legacy transport).
+    /// Idle deadline in seconds (0 = never reap).
     pub max_idle_secs: u64,
-    /// Reactor-mode worker pool size (0 = auto: the machine's
-    /// parallelism, clamped to [2, 8]).
+    /// Dispatch worker pool size (0 = auto: the machine's parallelism,
+    /// clamped to [2, 8]).
     pub workers: usize,
 }
 
@@ -88,8 +66,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             registry: RegistryConfig::default(),
-            max_frame_bytes: 0,
-            mode: ServerMode::default(),
             max_idle_secs: DEFAULT_MAX_IDLE_SECS,
             workers: 0,
         }
@@ -98,52 +74,11 @@ impl Default for ServerConfig {
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
-    registry: Arc<SessionRegistry>,
-    max_frame: u32,
-    mode: ServerMode,
-    max_idle_secs: u64,
-    workers: usize,
-    state: Arc<SharedState>,
-}
-
-/// State shared with connection threads: the stop flag plus one
-/// `try_clone` of every live connection so shutdown can unblock their
-/// readers.
-struct SharedState {
-    stopping: AtomicBool,
-    next_conn: AtomicU64,
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-}
-
-impl SharedState {
-    fn track(&self, stream: &TcpStream) -> Option<u64> {
-        let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        let clone = stream.try_clone().ok()?;
-        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        conns.push((id, clone));
-        tiebreak_trace::metrics().conns_open.set(conns.len() as u64);
-        Some(id)
-    }
-
-    fn untrack(&self, id: u64) {
-        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        conns.retain(|(cid, _)| *cid != id);
-        tiebreak_trace::metrics().conns_open.set(conns.len() as u64);
-    }
-
-    /// Half-closes every live connection so blocked `read_frame` calls
-    /// return and their threads can join.
-    fn disconnect_all(&self) {
-        for (_, stream) in self
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
+    pub(crate) listener: TcpListener,
+    pub(crate) registry: Arc<SessionRegistry>,
+    pub(crate) max_idle_secs: u64,
+    /// Dispatch pool size, resolved (never 0).
+    pub(crate) workers: usize,
 }
 
 impl Server {
@@ -153,24 +88,18 @@ impl Server {
     ///
     /// Socket bind failures.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let max_frame = if config.max_frame_bytes == 0 {
-            DEFAULT_MAX_FRAME_BYTES
+        let workers = if config.workers == 0 {
+            std::thread::available_parallelism()
+                .map_or(2, std::num::NonZeroUsize::get)
+                .clamp(2, 8)
         } else {
-            config.max_frame_bytes
+            config.workers
         };
         Ok(Server {
-            listener,
+            listener: TcpListener::bind(addr)?,
             registry: Arc::new(SessionRegistry::new(config.registry)),
-            max_frame,
-            mode: config.mode,
             max_idle_secs: config.max_idle_secs,
-            workers: config.workers,
-            state: Arc::new(SharedState {
-                stopping: AtomicBool::new(false),
-                next_conn: AtomicU64::new(0),
-                conns: Mutex::new(Vec::new()),
-            }),
+            workers,
         })
     }
 
@@ -197,138 +126,17 @@ impl Server {
     ///
     /// Fatal event-loop failures (per-connection errors are contained).
     pub fn run(self) -> io::Result<()> {
-        match self.mode {
-            #[cfg(unix)]
-            ServerMode::Reactor => crate::reactor::run(self),
-            // The reactor's poll shim needs raw fds; elsewhere the
-            // thread-per-connection transport serves both modes.
-            #[cfg(not(unix))]
-            ServerMode::Reactor => self.run_legacy(),
-            ServerMode::LegacyThreads => self.run_legacy(),
-        }
-    }
-
-    /// Tears the bound server into the pieces the reactor event loop
-    /// owns: `(listener, registry, max_frame, max_idle_secs, workers)`
-    /// with the worker count resolved.
-    #[cfg(unix)]
-    pub(crate) fn into_reactor_parts(self) -> (TcpListener, Arc<SessionRegistry>, u32, u64, usize) {
-        let workers = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map_or(2, std::num::NonZeroUsize::get)
-                .clamp(2, 8)
-        } else {
-            self.workers
-        };
-        (
-            self.listener,
-            self.registry,
-            self.max_frame,
-            self.max_idle_secs,
-            workers,
-        )
-    }
-
-    /// The thread-per-connection transport.
-    fn run_legacy(self) -> io::Result<()> {
-        let addr = self.listener.local_addr()?;
-        let mut workers = Vec::new();
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) if self.state.stopping.load(Ordering::SeqCst) => {
-                    let _ = e;
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if self.state.stopping.load(Ordering::SeqCst) {
-                // The wake-up connection (or a client racing shutdown).
-                drop(stream);
-                break;
-            }
-            let registry = Arc::clone(&self.registry);
-            let state = Arc::clone(&self.state);
-            let max_frame = self.max_frame;
-            workers.push(std::thread::spawn(move || {
-                let id = state.track(&stream);
-                serve_connection(stream, &registry, &state, addr, max_frame);
-                if let Some(id) = id {
-                    state.untrack(id);
-                }
-            }));
-        }
-        self.state.disconnect_all();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        Ok(())
+        crate::reactor::run(self)
     }
 }
 
 /// What a request handler wants done with the connection afterwards.
-/// Shared with the reactor's dispatch workers, which report it back to
-/// the event loop through their completion queue.
+/// The dispatch workers report it back to the event loop through their
+/// completion queue.
 pub(crate) enum Next {
     Continue,
     CloseConnection,
     ShutdownServer,
-}
-
-/// Per-connection loop: one frame in, one frame out, until the peer
-/// hangs up, the stream desynchronizes, or the server stops.
-fn serve_connection(
-    stream: TcpStream,
-    registry: &SessionRegistry,
-    state: &SharedState,
-    server_addr: std::net::SocketAddr,
-    max_frame: u32,
-) {
-    // Same socket options as the reactor, so the transports are
-    // comparable like for like in the batching benchmarks.
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-    // Connection-scoped session state: which registry entry is open,
-    // and the running script line number (counts across `script`
-    // frames so diagnostics name the line in the connection's stream).
-    let mut entry: Option<Arc<SessionEntry>> = None;
-    let mut lineno: usize = 0;
-
-    loop {
-        let payload = match read_frame(&mut reader, max_frame) {
-            Ok(Some(payload)) => payload,
-            // Peer hung up cleanly (or shutdown disconnected us).
-            Ok(None) => return,
-            Err(WireError::Oversized { len, max }) => {
-                // The payload was never consumed: the stream is
-                // desynchronized, so report and close.
-                let msg = format!("error frame of {len} bytes exceeds the {max}-byte cap");
-                let _ = write_frame(&mut writer, msg.as_bytes());
-                return;
-            }
-            Err(WireError::Io(_)) => return,
-        };
-        let mut response = OutFrame::new();
-        let next = handle_request(&payload, registry, &mut entry, &mut lineno, &mut response);
-        if write_frame(&mut writer, response.payload()).is_err() {
-            return;
-        }
-        match next {
-            Next::Continue => {}
-            Next::CloseConnection => return,
-            Next::ShutdownServer => {
-                state.stopping.store(true, Ordering::SeqCst);
-                // Wake the blocking accept with a throwaway connection.
-                let _ = TcpStream::connect(server_addr);
-                return;
-            }
-        }
-    }
 }
 
 /// Dispatches one request frame. Writes the response into `response`;
@@ -336,9 +144,9 @@ fn serve_connection(
 /// Every request is counted, latency-bucketed per verb, and (when
 /// tracing is on) wrapped in a `server` span that parents the prepare
 /// and evaluation spans the handlers open further down the stack.
-/// Both transports funnel through this function (the reactor's read
-/// batches excepted — those share its formatting via the script
-/// interpreter), so responses cannot differ between modes.
+/// Every request but the dispatcher's read batches funnels through
+/// this function; those share its formatting via the script
+/// interpreter.
 pub(crate) fn handle_request(
     payload: &[u8],
     registry: &SessionRegistry,
@@ -407,7 +215,7 @@ pub(crate) fn handle_request(
         }
     };
     drop(span);
-    // Connection threads are long-lived: flush the thread-local ring at
+    // Dispatch workers are long-lived: flush the thread-local ring at
     // this request boundary so a `--trace-out` drain sees every event.
     tiebreak_trace::flush();
     if response.payload().starts_with(b"error") {

@@ -10,17 +10,16 @@ use rand::{Rng, SeedableRng};
 use tiebreak_runtime::Solver;
 use tiebreak_server::{
     read_frame, write_frame, Client, ClientError, LineOutcome, RegistryConfig, ScriptSession,
-    Server, ServerConfig, ServerMode, SessionRegistry, WireError, DEFAULT_MAX_FRAME_BYTES,
+    Server, ServerConfig, SessionRegistry, WireError, DEFAULT_MAX_FRAME_BYTES,
 };
 
 const PROG: &str = "win(X) :- move(X, Y), not win(Y).";
 
-/// A default config with the transport pinned — the behavioral suites
-/// run once per [`ServerMode`] so the reactor and the legacy
-/// thread-per-connection transport stay observably interchangeable.
-fn config_for(mode: ServerMode) -> ServerConfig {
+/// A default config with the dispatch pool pinned to `workers`
+/// (0 = auto).
+fn config_with_workers(workers: usize) -> ServerConfig {
     ServerConfig {
-        mode,
+        workers,
         ..ServerConfig::default()
     }
 }
@@ -63,16 +62,19 @@ fn fresh_solver_output(program: &str, database: &str, lines: &[&str]) -> String 
 
 #[test]
 fn concurrent_clients_get_bit_identical_results_reactor() {
-    concurrent_clients_case(ServerMode::Reactor);
+    concurrent_clients_case(0);
 }
 
+/// The `_legacy` variants run the case on a one-worker dispatch pool,
+/// which serializes dispatch as the retired thread-per-connection
+/// transport did; the names stay so test histories line up.
 #[test]
 fn concurrent_clients_get_bit_identical_results_legacy() {
-    concurrent_clients_case(ServerMode::LegacyThreads);
+    concurrent_clients_case(1);
 }
 
-fn concurrent_clients_case(mode: ServerMode) {
-    let (addr, registry, handle) = start_server(config_for(mode));
+fn concurrent_clients_case(workers: usize) {
+    let (addr, registry, handle) = start_server(config_with_workers(workers));
 
     // Five clients churn disjoint sessions (each mutates its own
     // chain); five more share one tie-pocket session, query-only so the
@@ -143,16 +145,19 @@ fn concurrent_clients_case(mode: ServerMode) {
 
 #[test]
 fn malformed_connection_does_not_disturb_others_reactor() {
-    malformed_connection_case(ServerMode::Reactor);
+    malformed_connection_case(0);
 }
 
+/// The `_legacy` variants run the case on a one-worker dispatch pool,
+/// which serializes dispatch as the retired thread-per-connection
+/// transport did; the names stay so test histories line up.
 #[test]
 fn malformed_connection_does_not_disturb_others_legacy() {
-    malformed_connection_case(ServerMode::LegacyThreads);
+    malformed_connection_case(1);
 }
 
-fn malformed_connection_case(mode: ServerMode) {
-    let (addr, _registry, handle) = start_server(config_for(mode));
+fn malformed_connection_case(workers: usize) {
+    let (addr, _registry, handle) = start_server(config_with_workers(workers));
     let db = "move(a, b).\nmove(b, c).";
 
     // Client B holds a healthy connection to the same session for the
@@ -259,16 +264,19 @@ fn evicted_sessions_reprepare_transparently() {
 
 #[test]
 fn fuzzed_frames_never_kill_the_server_reactor() {
-    fuzzed_frames_case(ServerMode::Reactor);
+    fuzzed_frames_case(0);
 }
 
+/// The `_legacy` variants run the case on a one-worker dispatch pool,
+/// which serializes dispatch as the retired thread-per-connection
+/// transport did; the names stay so test histories line up.
 #[test]
 fn fuzzed_frames_never_kill_the_server_legacy() {
-    fuzzed_frames_case(ServerMode::LegacyThreads);
+    fuzzed_frames_case(1);
 }
 
-fn fuzzed_frames_case(mode: ServerMode) {
-    let (addr, _registry, handle) = start_server(config_for(mode));
+fn fuzzed_frames_case(workers: usize) {
+    let (addr, _registry, handle) = start_server(config_with_workers(workers));
     let mut rng = SmallRng::seed_from_u64(0x5eed_f00d);
 
     let mut client = Client::connect(addr).expect("connect");
@@ -363,14 +371,8 @@ fn fresh_session_frames(program: &str, database: &str, frames: &[&str]) -> Vec<S
 /// be observable in the bytes. Runs with 1 and 8 dispatch workers: the
 /// pool is where the server's parallelism lives, so batches are served
 /// both one at a time and concurrently.
-#[cfg(unix)]
 fn batching_fidelity_case(workers: usize) {
-    let config = ServerConfig {
-        mode: ServerMode::Reactor,
-        workers,
-        ..ServerConfig::default()
-    };
-    let (addr, _registry, handle) = start_server(config);
+    let (addr, _registry, handle) = start_server(config_with_workers(workers));
 
     // A 2-cycle: win(p) and win(q) are undefined, and stay undefined
     // while the mutator toggles a disconnected edge move(x9, y9) — so
@@ -455,13 +457,11 @@ fn batching_fidelity_case(workers: usize) {
 }
 
 #[test]
-#[cfg(unix)]
 fn batching_fidelity_under_concurrent_load_threads_1() {
     batching_fidelity_case(1);
 }
 
 #[test]
-#[cfg(unix)]
 fn batching_fidelity_under_concurrent_load_threads_8() {
     batching_fidelity_case(8);
 }
@@ -470,11 +470,10 @@ fn batching_fidelity_under_concurrent_load_threads_8() {
 /// round-trip: the reactor reads whatever the kernel hands it and the
 /// incremental decoder reassembles frames across reads.
 #[test]
-#[cfg(unix)]
 fn split_and_coalesced_frames_round_trip_over_tcp() {
     use std::io::Write as _;
 
-    let (addr, _registry, handle) = start_server(config_for(ServerMode::Reactor));
+    let (addr, _registry, handle) = start_server(ServerConfig::default());
     let mut rng = SmallRng::seed_from_u64(0xc0a1e5ce);
 
     for round in 0..20 {
@@ -538,12 +537,10 @@ fn split_and_coalesced_frames_round_trip_over_tcp() {
 /// flight; the reap is observable as a clean EOF and a counter bump,
 /// and the server keeps serving new connections afterwards.
 #[test]
-#[cfg(unix)]
 fn idle_connections_are_reaped() {
     use std::time::Duration;
 
     let config = ServerConfig {
-        mode: ServerMode::Reactor,
         max_idle_secs: 1,
         ..ServerConfig::default()
     };
